@@ -34,6 +34,10 @@
 //! [`Session`] is the cheap per-client layer on top: it caches parsed
 //! guards by source text — "the same guard will be reused for many
 //! queries" (§I) — so a client replaying its guard pays parsing once.
+//! The compile phase is cached one level down, on the pinned
+//! [`Snapshot`] ([`Snapshot::analysis`]): every query of the same guard
+//! text within one epoch, from any session, reuses one analysis, and a
+//! mutation starts the next epoch with an empty cache.
 //!
 //! Every query can opt into a [`QueryStats`] record: the compile/render
 //! split the paper's Fig. 10 measures, plus the delta of the store's
@@ -151,10 +155,15 @@ impl QueryRequestBuilder {
 /// What one query actually cost, measured around its execution.
 #[derive(Debug, Clone)]
 pub struct QueryStats {
-    /// The compile phase: guard analysis (ξ evaluation + loss report)
-    /// and typing enforcement. Parsing is excluded when a [`Session`]
-    /// served a cached guard.
+    /// The compile phase: guard analysis and typing enforcement. On a
+    /// cache hit ([`QueryStats::analysis_cached`]) the analysis is a
+    /// lookup on the pinned snapshot; on a miss it is the full ξ
+    /// evaluation + loss analysis. Parsing is excluded when a
+    /// [`Session`] served a cached guard.
     pub compile: Duration,
+    /// Whether the guard's analysis came from the pinned snapshot's
+    /// cache ([`Snapshot::analysis`]) rather than being computed.
+    pub analysis_cached: bool,
     /// The render phase (dominates; §IX, Fig. 10).
     pub render: Duration,
     /// Render worker threads actually used.
@@ -198,6 +207,10 @@ pub struct QueryResponse {
 /// enough to pin a [`Snapshot`] — the analysis and render then run
 /// entirely against that immutable epoch, so readers proceed at full
 /// speed while a single writer mutates and publishes the next epoch.
+///
+/// Guard parses are cached per [`Session`]; guard analyses are cached
+/// per snapshot, so they are shared by every session reading the same
+/// epoch and dropped with it.
 pub struct Engine {
     store: Store,
     doc: RwLock<ShreddedDoc>,
@@ -360,6 +373,8 @@ impl Engine {
     /// [`Snapshot`]; analysis and rendering then run lock-free against
     /// that one epoch, so a query never observes a half-applied
     /// mutation and never blocks the writer for its whole duration.
+    /// The analysis comes from the snapshot's cache when this guard
+    /// text already ran in the same epoch; enforcement runs every time.
     pub fn query_parsed(&self, guard: &Guard, req: &QueryRequest) -> MorphResult<QueryResponse> {
         let snap = {
             let doc = self.doc.read().unwrap();
@@ -372,7 +387,7 @@ impl Engine {
         let before_cols = req.collect_stats.then(|| snap.column_bytes().total());
 
         let t0 = Instant::now();
-        let analysis = guard.analyze_snapshot(&snap)?;
+        let (analysis, analysis_cached) = snap.analysis_and_hit(guard)?;
         analysis.enforce()?;
         let compile = t0.elapsed();
 
@@ -396,6 +411,7 @@ impl Engine {
 
         let stats = before_io.map(|before| QueryStats {
             compile,
+            analysis_cached,
             render,
             threads,
             io: self.store.io_stats_snapshot().since(&before),
@@ -458,7 +474,8 @@ impl std::fmt::Debug for Engine {
 /// Per-client query state over a shared [`Engine`]: a cache of parsed
 /// guards keyed by their source text. The server gives each connection
 /// one session; single-program tools can use one session for their
-/// whole run.
+/// whole run. Parses are cached here, per session; analyses are cached
+/// on the pinned [`Snapshot`], per epoch, and shared across sessions.
 pub struct Session<'e> {
     engine: &'e Engine,
     guards: HashMap<String, Guard>,

@@ -11,11 +11,13 @@ use crate::analysis::analyze_loss;
 use crate::error::{MorphError, MorphResult};
 use crate::lang::ast::{Ast, CastMode};
 use crate::lang::parse;
+use crate::model::shape::AdornedShape;
+use crate::model::types::TypeId;
 use crate::render::{render, RenderOptions};
 use crate::report::{GuardTyping, LabelReport, LossReport};
-use crate::semantics::eval::{eval_guard, EvalCtx};
+use crate::semantics::eval::{eval_guard, DistOracle, EvalCtx};
 use crate::semantics::shape::Shape;
-use crate::store::shredded::ShreddedDoc;
+use crate::store::shredded::{ShreddedDoc, Snapshot};
 use xmorph_pagestore::Store;
 
 /// A parsed, reusable query guard.
@@ -165,37 +167,30 @@ impl Guard {
     /// the data already in shape / can it be transformed safely?" check
     /// a query evaluator runs before each query.
     pub fn analyze(&self, doc: &ShreddedDoc) -> MorphResult<GuardAnalysis> {
-        let src = Shape::from_adorned(doc.shape());
-        let mut ctx = EvalCtx::new(doc);
-        let target = eval_guard(&self.op, &src, &mut ctx)?;
-        let loss = analyze_loss(&src, &target, |s| {
-            doc.shape()
-                .instance_count(crate::model::types::TypeId(s as u32))
-        });
-        Ok(GuardAnalysis {
-            target,
-            labels: ctx.labels,
-            loss,
-            allowed: self.allowed(),
-        })
+        self.analyze_with(doc.shape(), &Shape::from_adorned(doc.shape()), doc)
     }
 
     /// [`Guard::analyze`] against a pinned [`Snapshot`]: the same
     /// compile phase, but evaluated on the snapshot's frozen shape and
     /// columns so analysis and the render that follows read one epoch.
-    ///
-    /// [`Snapshot`]: crate::store::shredded::Snapshot
-    pub fn analyze_snapshot(
+    /// Always computes afresh; [`Snapshot::analysis`] is the memoised
+    /// form the query engine uses.
+    pub fn analyze_snapshot(&self, snap: &Snapshot) -> MorphResult<GuardAnalysis> {
+        self.analyze_with(snap.shape(), &Shape::from_adorned(snap.shape()), snap)
+    }
+
+    /// The compile phase proper: ξ over `src` (the source shape built
+    /// from `adorned`) with `oracle` answering data distances, then the
+    /// loss analysis against `adorned`'s instance counts.
+    pub(crate) fn analyze_with(
         &self,
-        snap: &crate::store::shredded::Snapshot,
+        adorned: &AdornedShape,
+        src: &Shape,
+        oracle: &dyn DistOracle,
     ) -> MorphResult<GuardAnalysis> {
-        let src = Shape::from_adorned(snap.shape());
-        let mut ctx = EvalCtx::new(snap);
-        let target = eval_guard(&self.op, &src, &mut ctx)?;
-        let loss = analyze_loss(&src, &target, |s| {
-            snap.shape()
-                .instance_count(crate::model::types::TypeId(s as u32))
-        });
+        let mut ctx = EvalCtx::new(oracle);
+        let target = eval_guard(&self.op, src, &mut ctx)?;
+        let loss = analyze_loss(src, &target, |s| adorned.instance_count(TypeId(s as u32)));
         Ok(GuardAnalysis {
             target,
             labels: ctx.labels,
@@ -246,8 +241,8 @@ impl Guard {
     /// the source shape with identical parent/child edges — in that case
     /// a query could run on the source directly.
     pub fn data_already_in_shape(&self, doc: &ShreddedDoc) -> MorphResult<bool> {
-        let analysis = self.analyze(doc)?;
         let src = Shape::from_adorned(doc.shape());
+        let analysis = self.analyze_with(doc.shape(), &src, doc)?;
         Ok(shape_is_fragment(&analysis.target, &src))
     }
 }

@@ -141,6 +141,8 @@ fn render_with(
 /// root type is split at group boundaries and each slice renders
 /// independently against the same shredded document, so concatenating
 /// the slices in order reproduces the sequential output byte for byte.
+/// The slice is appended to `out`; on error `out` is left unspecified.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn render_root_slice(
     doc: &Snapshot,
     target: &Shape,
@@ -149,7 +151,8 @@ pub(crate) fn render_root_slice(
     root_type: TypeId,
     col: &TypeColumn,
     rows: Range<usize>,
-) -> MorphResult<String> {
+    out: &mut String,
+) -> MorphResult<()> {
     let mut renderer = Renderer {
         doc,
         target,
@@ -159,17 +162,19 @@ pub(crate) fn render_root_slice(
             .pipelined
             .then(|| RootBatch::build(doc, target, root, root_type, col, rows.clone())),
     };
-    let mut w = StreamWriter::with_capacity(4096);
-    let mut out = String::new();
+    // Every instance renders balanced, so the rows share one buffer,
+    // the caller's, which grows in place: a large result is never
+    // copied from a per-instance buffer into the output.
+    let mut w = StreamWriter::appending(std::mem::take(out));
     for i in rows {
         if let Some(b) = renderer.root_batch.as_mut() {
             b.current = i;
         }
         let dewey = col.dewey(i);
         renderer.render_instance(root, &dewey, root_type, col.text(i), &mut w)?;
-        out.push_str(&w.drain());
     }
-    Ok(out)
+    *out = w.drain();
+    Ok(())
 }
 
 /// Render a NEW (non-source-backed) root once, as the sequential

@@ -110,7 +110,15 @@ pub fn render_parallel_snapshot(
     opts: &ParallelOptions,
 ) -> MorphResult<String> {
     let threads = opts.effective_threads();
+    // The output is built in one buffer, wrapper included, so a large
+    // result is not copied again once rendered.
     let mut body = String::new();
+    if let Some(w) = &opts.render.wrapper {
+        body.push('<');
+        body.push_str(w);
+        body.push('>');
+    }
+    let content = body.len();
     for &root in &target.roots {
         match target.nodes[root].base {
             Some(root_type) => {
@@ -124,7 +132,7 @@ pub fn render_parallel_snapshot(
                 }
                 let bounds = partition_bounds(col.len(), threads);
                 if bounds.len() == 1 {
-                    body.push_str(&render_root_slice(
+                    render_root_slice(
                         doc,
                         target,
                         &opts.render,
@@ -132,7 +140,8 @@ pub fn render_parallel_snapshot(
                         root_type,
                         &col,
                         0..col.len(),
-                    )?);
+                        &mut body,
+                    )?;
                     continue;
                 }
                 let results: Vec<MorphResult<String>> = std::thread::scope(|s| {
@@ -142,7 +151,18 @@ pub fn render_parallel_snapshot(
                             let col = &col;
                             let render = &opts.render;
                             s.spawn(move || {
-                                render_root_slice(doc, target, render, root, root_type, col, lo..hi)
+                                let mut chunk = String::new();
+                                render_root_slice(
+                                    doc,
+                                    target,
+                                    render,
+                                    root,
+                                    root_type,
+                                    col,
+                                    lo..hi,
+                                    &mut chunk,
+                                )
+                                .map(|()| chunk)
                             })
                         })
                         .collect();
@@ -160,11 +180,17 @@ pub fn render_parallel_snapshot(
     }
     // The wrapper mirrors StreamWriter exactly: an element with no
     // content collapses to a self-closing tag.
-    Ok(match &opts.render.wrapper {
-        Some(w) if body.is_empty() => format!("<{w}/>"),
-        Some(w) => format!("<{w}>{body}</{w}>"),
-        None => body,
-    })
+    if let Some(w) = &opts.render.wrapper {
+        if body.len() == content {
+            body.truncate(content - 1);
+            body.push_str("/>");
+        } else {
+            body.push_str("</");
+            body.push_str(w);
+            body.push('>');
+        }
+    }
+    Ok(body)
 }
 
 /// Analyze, enforce the typing discipline, and render in parallel — the

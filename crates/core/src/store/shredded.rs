@@ -34,16 +34,18 @@
 //! implementations for cross-checking and ablation.
 
 use crate::error::{MorphError, MorphResult, StoreOpExt};
+use crate::guard::{Guard, GuardAnalysis};
 use crate::model::shape::{AdornedShape, ShapeBuilder};
 use crate::model::types::{TypeId, TypeTable};
 use crate::semantics::eval::DistOracle;
+use crate::semantics::shape::Shape;
 use crate::store::colseg;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering as Cmp;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
 use xmorph_pagestore::{SegmentData, Store, StoreError, Tree, DEFAULT_FILL};
 use xmorph_xml::dewey::{decode_components_into, Dewey};
 use xmorph_xml::reader::{EventSource, XmlEvent, XmlReader, XmlStreamReader};
@@ -1890,6 +1892,8 @@ impl ShreddedDoc {
             // mutation time), so seeding from them is sound.
             dist_cache: Mutex::new(self.dist_cache.lock().unwrap().clone()),
             plan_cache: RwLock::new(self.plan_cache.read().unwrap().clone()),
+            source_shape: OnceLock::new(),
+            analyses: Mutex::new(HashMap::new()),
             shared: Arc::clone(&self.shared),
         });
         let mut live = self.shared.live.lock().unwrap();
@@ -2533,6 +2537,11 @@ impl DistOracle for ShreddedDoc {
 ///
 /// Snapshots are not subject to the document's column budget: columns
 /// they resolve or get pinned stay alive until the snapshot drops.
+///
+/// A snapshot also memoises guard analyses ([`Snapshot::analysis`]):
+/// the compile phase reads only the frozen shape and this epoch's
+/// data, so its result is fixed for the snapshot's lifetime, and the
+/// next epoch starts from a fresh snapshot with an empty cache.
 pub struct Snapshot {
     pub(in crate::store) epoch: u64,
     shape: Arc<AdornedShape>,
@@ -2551,6 +2560,11 @@ pub struct Snapshot {
     dist_cache: Mutex<HashMap<(TypeId, TypeId), Option<usize>, FxBuild>>,
     #[allow(clippy::type_complexity)]
     plan_cache: RwLock<HashMap<(TypeId, TypeId), Option<(usize, Arc<TypeColumn>)>, FxBuild>>,
+    /// `Shape::from_adorned(shape)`, built on the first analysis miss.
+    source_shape: OnceLock<Shape>,
+    /// Successful guard analyses keyed by guard source text, at most
+    /// [`Snapshot::ANALYSIS_CACHE_CAP`] of them.
+    analyses: Mutex<HashMap<String, Arc<GuardAnalysis>>>,
     shared: Arc<DocShared>,
 }
 
@@ -2565,6 +2579,49 @@ impl std::fmt::Debug for Snapshot {
 }
 
 impl Snapshot {
+    /// How many guard analyses one snapshot memoises. Once full, further
+    /// distinct guards are analysed without being inserted, so a client
+    /// sending ever-new guard texts cannot grow a snapshot unboundedly.
+    pub const ANALYSIS_CACHE_CAP: usize = 256;
+
+    /// The compile phase of `guard` against this epoch (ξ evaluation
+    /// and loss analysis, as [`Guard::analyze_snapshot`]), memoised by
+    /// guard source text for the snapshot's lifetime. Errors are not
+    /// cached; enforcement of the typing discipline is left to the
+    /// caller, per query.
+    pub fn analysis(&self, guard: &Guard) -> MorphResult<Arc<GuardAnalysis>> {
+        self.analysis_and_hit(guard).map(|(analysis, _)| analysis)
+    }
+
+    /// [`Snapshot::analysis`], also reporting whether it was a cache hit.
+    pub(crate) fn analysis_and_hit(
+        &self,
+        guard: &Guard,
+    ) -> MorphResult<(Arc<GuardAnalysis>, bool)> {
+        if let Some(hit) = self.analyses.lock().unwrap().get(guard.source()) {
+            return Ok((Arc::clone(hit), true));
+        }
+        // Compute outside the lock: a racing miss may compute the same
+        // analysis, and the first insert wins.
+        let src = self
+            .source_shape
+            .get_or_init(|| Shape::from_adorned(&self.shape));
+        let fresh = Arc::new(guard.analyze_with(&self.shape, src, self)?);
+        let mut map = self.analyses.lock().unwrap();
+        if let Some(won) = map.get(guard.source()) {
+            return Ok((Arc::clone(won), false));
+        }
+        if map.len() < Self::ANALYSIS_CACHE_CAP {
+            map.insert(guard.source().to_string(), Arc::clone(&fresh));
+        }
+        Ok((fresh, false))
+    }
+
+    /// Guard analyses currently memoised on this snapshot.
+    pub fn cached_analyses(&self) -> usize {
+        self.analyses.lock().unwrap().len()
+    }
+
     /// The epoch this snapshot pins.
     pub fn epoch(&self) -> u64 {
         self.epoch

@@ -197,7 +197,7 @@ impl Client {
         let frame = read_frame(&mut self.stream, self.max_payload)?;
         match frame.opcode {
             OpCode::Result => {
-                let result = ResultPayload::decode(&frame.payload)?;
+                let result = ResultPayload::decode_owned(frame.payload)?;
                 let stats = if opts.want_stats {
                     let stats_frame = read_frame(&mut self.stream, self.max_payload)?;
                     if stats_frame.opcode != OpCode::StatsReply {

@@ -39,7 +39,7 @@
 //! [`ProtoError::BadPayload`], and every allocation is bounded by the
 //! frame's actual byte length.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Magic bytes opening every frame.
 pub const FRAME_MAGIC: &[u8; 8] = b"XMFRAME1";
@@ -227,7 +227,12 @@ impl From<std::io::Error> for ProtoError {
 
 /// 64-bit FNV-1a — the same checksum the `colseg` and WAL headers use.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a64 `hash` over `bytes`, so a payload held in
+/// several parts hashes as their concatenation.
+fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -244,24 +249,60 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// The header of a frame whose payload is the concatenation of `parts`.
+fn frame_header(opcode: OpCode, parts: &[&[u8]]) -> [u8; HEADER_LEN] {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let sum = parts
+        .iter()
+        .fold(fnv1a64(&[]), |hash, part| fnv1a64_extend(hash, part));
+    let mut header = [0u8; HEADER_LEN];
+    header[0..8].copy_from_slice(FRAME_MAGIC);
+    header[8..12].copy_from_slice(&PROTO_VERSION.to_le_bytes());
+    header[12..16].copy_from_slice(&(opcode as u32).to_le_bytes());
+    header[16..24].copy_from_slice(&(len as u64).to_le_bytes());
+    header[24..32].copy_from_slice(&sum.to_le_bytes());
+    let header_sum = fnv1a64(&header[..32]);
+    header[32..40].copy_from_slice(&header_sum.to_le_bytes());
+    header
+}
+
 /// Encode a frame into a byte vector (header + payload).
 pub fn encode_frame(opcode: OpCode, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(FRAME_MAGIC);
-    out.extend_from_slice(&PROTO_VERSION.to_le_bytes());
-    out.extend_from_slice(&(opcode as u32).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    let header_sum = fnv1a64(&out[..32]);
-    out.extend_from_slice(&header_sum.to_le_bytes());
+    out.extend_from_slice(&frame_header(opcode, &[payload]));
     out.extend_from_slice(payload);
     out
 }
 
-/// Write one frame to `w` (single `write_all`, then flush is the
-/// caller's business).
+/// Write one frame to `w` (flush is the caller's business).
 pub fn write_frame(w: &mut impl Write, opcode: OpCode, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&encode_frame(opcode, payload))
+    write_frame_parts(w, opcode, &[payload])
+}
+
+/// Write one frame whose payload is the concatenation of `parts`,
+/// without joining them: header and parts go out as one vectored
+/// write where `w` supports it, so a large payload is never copied
+/// into a frame buffer.
+pub fn write_frame_parts(
+    w: &mut impl Write,
+    opcode: OpCode,
+    parts: &[&[u8]],
+) -> std::io::Result<()> {
+    let header = frame_header(opcode, parts);
+    let mut slices: Vec<IoSlice<'_>> = std::iter::once(&header[..])
+        .chain(parts.iter().copied())
+        .map(IoSlice::new)
+        .collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Parse and validate a frame header. Returns `(opcode, payload_len)`.
@@ -577,22 +618,32 @@ pub struct ResultPayload {
 impl ResultPayload {
     /// Wire encoding: `u8` typing, then the XML to end of payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + self.xml.len());
-        out.push(self.typing);
-        out.extend_from_slice(self.xml.as_bytes());
-        out
+        self.parts().concat()
+    }
+
+    /// The wire encoding in two borrowed parts, for
+    /// [`write_frame_parts`]: a large result goes out without a copy.
+    pub fn parts(&self) -> [&[u8]; 2] {
+        [std::slice::from_ref(&self.typing), self.xml.as_bytes()]
     }
 
     /// Total decode.
     pub fn decode(bytes: &[u8]) -> Result<ResultPayload, ProtoError> {
-        let mut c = Cursor::new(bytes);
-        let typing = c.take_u8("typing")?;
+        ResultPayload::decode_owned(bytes.to_vec())
+    }
+
+    /// [`ResultPayload::decode`] taking the payload by value: the XML
+    /// reuses its buffer instead of being copied out of it.
+    pub fn decode_owned(mut bytes: Vec<u8>) -> Result<ResultPayload, ProtoError> {
+        let Some(&typing) = bytes.first() else {
+            return Err(ProtoError::BadPayload("typing"));
+        };
         if typing > 3 {
             return Err(ProtoError::BadPayload("typing code out of range"));
         }
-        let xml = std::str::from_utf8(c.rest())
-            .map_err(|_| ProtoError::BadPayload("result XML is not UTF-8"))?
-            .to_string();
+        bytes.remove(0);
+        let xml = String::from_utf8(bytes)
+            .map_err(|_| ProtoError::BadPayload("result XML is not UTF-8"))?;
         Ok(ResultPayload { typing, xml })
     }
 }

@@ -28,10 +28,11 @@
 //! the next open replays nothing.
 
 use crate::proto::{
-    self, encode_stores, parse_header, read_payload, write_frame, AppliedPayload, DeletePayload,
-    ErrorCode, ErrorPayload, Frame, InsertPayload, OpCode, ProtoError, QueryPayload, ResultPayload,
-    StorePayload, UpdatePayload, WireStats, APPLIED_DELETED, APPLIED_INSERTED, APPLIED_UPDATED,
-    FLAG_NO_WRAPPER, FLAG_WANT_STATS, HEADER_LEN, INSERT_MODE_BEFORE,
+    self, encode_stores, parse_header, read_payload, write_frame, write_frame_parts,
+    AppliedPayload, DeletePayload, ErrorCode, ErrorPayload, Frame, InsertPayload, OpCode,
+    ProtoError, QueryPayload, ResultPayload, StorePayload, UpdatePayload, WireStats,
+    APPLIED_DELETED, APPLIED_INSERTED, APPLIED_UPDATED, FLAG_NO_WRAPPER, FLAG_WANT_STATS,
+    HEADER_LEN, INSERT_MODE_BEFORE,
 };
 use std::collections::HashMap;
 use std::io::Read;
@@ -734,7 +735,7 @@ fn handle_query<'a>(
                 typing: typing_code(resp.typing),
                 xml: resp.xml,
             };
-            if write_frame(stream, OpCode::Result, &result.encode()).is_err() {
+            if write_frame_parts(stream, OpCode::Result, &result.parts()).is_err() {
                 return false;
             }
             if let Some(stats) = resp.stats {

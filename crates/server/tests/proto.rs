@@ -5,9 +5,9 @@
 
 use proptest::prelude::*;
 use xmorph_server::proto::{
-    decode_stores, encode_frame, encode_stores, fnv1a64, read_frame, ErrorCode, ErrorPayload,
-    OpCode, ProtoError, QueryPayload, ResultPayload, StorePayload, WireStats, DEFAULT_MAX_PAYLOAD,
-    FLAG_NO_WRAPPER, FLAG_WANT_STATS, HEADER_LEN, PROTO_VERSION,
+    decode_stores, encode_frame, encode_stores, fnv1a64, read_frame, write_frame_parts, ErrorCode,
+    ErrorPayload, OpCode, ProtoError, QueryPayload, ResultPayload, StorePayload, WireStats,
+    DEFAULT_MAX_PAYLOAD, FLAG_NO_WRAPPER, FLAG_WANT_STATS, HEADER_LEN, PROTO_VERSION,
 };
 
 // ---- round trips ----
@@ -208,6 +208,10 @@ proptest! {
         if let Ok(r) = ResultPayload::decode(&bytes) {
             prop_assert_eq!(&r.encode(), &bytes);
         }
+        prop_assert_eq!(
+            format!("{:?}", ResultPayload::decode_owned(bytes.clone())),
+            format!("{:?}", ResultPayload::decode(&bytes))
+        );
         if let Ok(e) = ErrorPayload::decode(&bytes) {
             prop_assert_eq!(&e.encode(), &bytes);
         }
@@ -215,6 +219,29 @@ proptest! {
             prop_assert_eq!(&w.encode(), &bytes);
         }
         let _ = decode_stores(&bytes);
+    }
+
+    // A payload written in parts is the frame of their concatenation,
+    // byte for byte, wherever the cuts fall.
+    #[test]
+    fn frames_written_in_parts_match_the_joined_frame(
+        payload in prop::collection::vec(any::<u8>(), 0..192),
+        cuts in prop::collection::vec(any::<u16>(), 0..4),
+    ) {
+        let mut at: Vec<usize> = cuts
+            .iter()
+            .map(|&c| usize::from(c) % (payload.len() + 1))
+            .collect();
+        at.sort_unstable();
+        let mut parts = Vec::new();
+        let mut start = 0;
+        for end in at.into_iter().chain([payload.len()]) {
+            parts.push(&payload[start..end]);
+            start = end;
+        }
+        let mut written = Vec::new();
+        write_frame_parts(&mut written, OpCode::Result, &parts).unwrap();
+        prop_assert_eq!(written, encode_frame(OpCode::Result, &payload));
     }
 
     // A valid frame with any prefix of corruption: the reader reports

@@ -113,6 +113,16 @@ impl StreamWriter {
         }
     }
 
+    /// Create a writer that continues after the text already in `out`,
+    /// so a caller's buffer grows in place instead of being copied into.
+    pub fn appending(out: String) -> Self {
+        StreamWriter {
+            out,
+            stack: Vec::new(),
+            open_tag_pending: false,
+        }
+    }
+
     fn close_pending(&mut self) {
         if self.open_tag_pending {
             self.out.push('>');
