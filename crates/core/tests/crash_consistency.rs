@@ -7,7 +7,10 @@
 //! opens into a document whose every type scans, reads, and reports
 //! fallbacks without panicking — persisted column segments that fail
 //! validation fall back to a typeseq rebuild instead of serving
-//! garbage or crashing.
+//! garbage or crashing. Between the post-shred flush and the vacuum,
+//! where every mutation is one transaction, a reopened image is also
+//! exact: each type's persisted shape count equals its rows, so the
+//! shape rows and the trees land (or roll back) together.
 
 use xmorph_core::{MorphError, MorphResult, OpenOptions, ShredOptions, ShreddedDoc};
 use xmorph_pagestore::{FaultHandle, FaultScript, FaultStorage, Store, StoreError};
@@ -52,8 +55,10 @@ struct Marks {
 }
 
 /// The workload: persisted-column shred, durability barrier, in-place
-/// mutations, column re-persist, vacuum, close. Under an injected crash
-/// every step must surface a [`MorphError`] — never panic.
+/// mutations (among them inserts that intern new types and a
+/// multi-node delete), column re-persist, vacuum, close. Under an
+/// injected crash every step must surface a [`MorphError`] — never
+/// panic.
 fn workload(
     storage: Box<dyn xmorph_pagestore::storage::Storage>,
     handle: Option<&FaultHandle>,
@@ -79,9 +84,14 @@ fn workload(
         .types()
         .lookup(&path(&["lib", "book"]))
         .ok_or(MorphError::Internal("no book type"))?;
+    let authors = doc
+        .types()
+        .lookup(&path(&["lib", "book", "author"]))
+        .ok_or(MorphError::Internal("no author type"))?;
     let title_rows = doc.scan_type(titles);
     let book_rows = doc.scan_type(books);
-    if title_rows.len() < 4 || book_rows.len() < 4 {
+    let author_rows = doc.scan_type(authors);
+    if title_rows.len() < 4 || book_rows.len() < 4 || author_rows.is_empty() {
         // A crashed device can only truncate these scans (reads fall
         // back leniently); the fault-free run always passes this gate.
         return Err(MorphError::Internal("columns shorter than the document"));
@@ -89,6 +99,9 @@ fn workload(
     doc.update_text(&title_rows[0].0, "Retitled")?;
     doc.delete_subtree(&title_rows[1].0)?;
     doc.insert_subtree(&book_rows[2].0, "<award>prize</award>")?;
+    doc.insert_subtree(&book_rows[3].0, r#"<review stars="4"><by>qa</by></review>"#)?;
+    // An author and its name: two vertices of two types.
+    doc.delete_subtree(&author_rows[0].0)?;
     doc.persist_dirty_columns()?;
     if let Some(h) = handle {
         marks.vacuum_start = h.writes();
@@ -100,8 +113,9 @@ fn workload(
 
 /// Reopen a frozen crash image as a document and exercise every read
 /// surface. Any outcome but a panic is within contract; columns must
-/// validate or fall back.
-fn check_reopened(image: Vec<u8>, crash_at: u64) {
+/// validate or fall back. With `exact`, an image that opens must also
+/// agree with itself: every type's shape count equals its row count.
+fn check_reopened(image: Vec<u8>, crash_at: u64, exact: bool) {
     let (storage, _h) = FaultStorage::with_image(image, FaultScript::none());
     let store = match Store::options()
         .capacity(16)
@@ -122,6 +136,14 @@ fn check_reopened(image: Vec<u8>, crash_at: u64) {
             rows.len() as u64 <= 10_000,
             "crash@{crash_at}: type {t:?} scan exploded"
         );
+        if exact {
+            assert_eq!(
+                doc.instance_count(t),
+                rows.len() as u64,
+                "crash@{crash_at}: shape count of {} disagrees with its rows",
+                doc.types().dotted(t)
+            );
+        }
         for (dewey, _) in rows.iter().take(2) {
             // Ok, None, or a typed error — never a panic.
             let _ = doc.node_text(dewey);
@@ -160,7 +182,8 @@ fn document_pipeline_survives_crash_at_every_write() {
             res.is_err(),
             "crash@{k}: pipeline survived a crashed device"
         );
-        check_reopened(handle.image(), k);
+        let exact = (marks.flush_done..marks.vacuum_start).contains(&k);
+        check_reopened(handle.image(), k, exact);
     }
 }
 

@@ -25,11 +25,19 @@
 //!
 //! ## Behavioural notes
 //!
-//! * Replacing or deleting a value abandons its overflow chain (space is
-//!   leaked until the file is rebuilt). The XMorph workload is
-//!   write-once/read-many, so reclamation is deliberately out of scope.
-//! * Deletion removes the slot without rebalancing; underfull pages are
-//!   permitted, searches and scans remain correct.
+//! * Replacing or deleting a value abandons its overflow chain; the tree
+//!   never frees pages itself. Values over ~1,000 bytes are rare here,
+//!   so the callers that can still abandon a chain are few: a full
+//!   re-shred replacing the `meta["shape"]` blob, and a text update or
+//!   delete of a node whose text is that long (`nodes` and `typeseq`
+//!   values). The segment catalog's entries are far smaller, and a
+//!   mutation's shape change is a small per-type row, not a blob
+//!   rewrite. [`crate::Store::vacuum`] reclaims abandoned chains: it
+//!   keeps only pages reachable from a catalogued tree.
+//! * Deletion removes the slot without rebalancing; underfull and empty
+//!   pages are permitted, searches and scans remain correct. The seeks
+//!   ([`BTree::last_key_below`], [`BTree::count_range`]) step over empty
+//!   leaves the same way scans do.
 //! * Range scans materialize one leaf at a time, so a scan does not hold
 //!   pool pages pinned. Mutating the tree during a scan is unsupported.
 
@@ -686,6 +694,137 @@ impl<'a> BTree<'a> {
         Err(StoreError::Corrupt("tree deeper than the descent bound"))
     }
 
+    /// The leaf whose key range covers `key`: one root-to-leaf descent.
+    fn leaf_for(&self, key: &[u8]) -> StoreResult<PageId> {
+        let mut page = self.root;
+        for _ in 0..MAX_DEPTH {
+            enum Down {
+                Leaf,
+                Child(PageId),
+                NotATreePage,
+            }
+            let down = self.pool.read_with(page, |p| match tag(p) {
+                TAG_INTERIOR => Down::Child(child_for_key(p, key)),
+                TAG_LEAF => Down::Leaf,
+                _ => Down::NotATreePage,
+            })?;
+            match down {
+                Down::Leaf => return Ok(page),
+                Down::Child(c) => page = c,
+                Down::NotATreePage => {
+                    return Err(StoreError::Corrupt("descent reached a non-tree page"))
+                }
+            }
+        }
+        Err(StoreError::Corrupt("tree deeper than the descent bound"))
+    }
+
+    /// The greatest key strictly below `upper` (`None`: the greatest
+    /// key of the tree), or `None` when no key is that small. One
+    /// root-to-leaf descent toward `upper`; because deletes never
+    /// rebalance, the subtree it lands in may hold nothing below the
+    /// bound (its leaves were emptied), and the search then backtracks
+    /// into the next subtree to the left. Cost: O(depth) page reads plus
+    /// one per emptied leaf skipped. No value is read.
+    pub fn last_key_below(&self, upper: Option<&[u8]>) -> StoreResult<Option<Vec<u8>>> {
+        let mut visits = 0u64;
+        self.last_below_rec(self.root, upper, 0, &mut visits)
+    }
+
+    fn last_below_rec(
+        &self,
+        page: PageId,
+        upper: Option<&[u8]>,
+        depth: usize,
+        visits: &mut u64,
+    ) -> StoreResult<Option<Vec<u8>>> {
+        // Both bounds turn a child-pointer cycle in a torn tree into a
+        // typed error instead of an unbounded walk.
+        *visits += 1;
+        if depth >= MAX_DEPTH || *visits > self.pool.page_count() {
+            return Err(StoreError::Corrupt("tree walk does not terminate"));
+        }
+        enum Node {
+            Leaf(Option<Vec<u8>>),
+            /// Children that can hold keys below the bound, leftmost first.
+            Interior(Vec<PageId>),
+            NotATreePage,
+        }
+        let node = self.pool.read_with(page, |p| {
+            // Slots (leaf) or separators (interior) strictly below the
+            // bound. An interior child right of those covers only keys
+            // at or above it.
+            let below = |get_key: fn(&[u8], usize) -> &[u8]| match upper {
+                Some(u) => match search_slots(p, u, get_key) {
+                    Ok(i) | Err(i) => i,
+                },
+                None => nkeys(p),
+            };
+            match tag(p) {
+                TAG_LEAF => {
+                    let i = below(leaf_cell_key);
+                    Node::Leaf((i > 0).then(|| leaf_cell_key(p, slot(p, i - 1)).to_vec()))
+                }
+                TAG_INTERIOR => {
+                    let n = below(interior_cell_key);
+                    let mut kids = Vec::with_capacity(n + 1);
+                    kids.push(leftmost_child(p));
+                    kids.extend((0..n).map(|i| interior_cell_child(p, slot(p, i))));
+                    Node::Interior(kids)
+                }
+                _ => Node::NotATreePage,
+            }
+        })?;
+        match node {
+            Node::Leaf(key) => Ok(key),
+            Node::Interior(kids) => {
+                for &child in kids.iter().rev() {
+                    if let Some(key) = self.last_below_rec(child, upper, depth + 1, visits)? {
+                        return Ok(Some(key));
+                    }
+                }
+                Ok(None)
+            }
+            Node::NotATreePage => Err(StoreError::Corrupt("descent reached a non-tree page")),
+        }
+    }
+
+    /// Number of keys in `[start, end)` (`end = None`: no upper bound)
+    /// without materialising any of them: one descent to `start`'s leaf,
+    /// then per leaf two binary searches and a slot-count difference,
+    /// following sibling links (over emptied leaves too) until a leaf
+    /// holds a key at or past `end`.
+    pub fn count_range(&self, start: &[u8], end: Option<&[u8]>) -> StoreResult<u64> {
+        let mut page = self.leaf_for(start)?;
+        let mut count = 0u64;
+        let mut hops = 0u64;
+        loop {
+            let step = self.pool.read_with(page, |p| {
+                if tag(p) != TAG_LEAF {
+                    return None;
+                }
+                let at = |key: &[u8]| match search_slots(p, key, leaf_cell_key) {
+                    Ok(i) | Err(i) => i,
+                };
+                let n = nkeys(p);
+                let hi = end.map_or(n, at);
+                Some((hi.saturating_sub(at(start)), hi < n, next_leaf(p)))
+            })?;
+            let Some((in_leaf, ends_here, next)) = step else {
+                return Err(StoreError::Corrupt("leaf chain reached a non-leaf page"));
+            };
+            count += in_leaf as u64;
+            if ends_here || next == NIL {
+                return Ok(count);
+            }
+            hops += 1;
+            if hops > self.pool.page_count() {
+                return Err(StoreError::Corrupt("leaf sibling chain does not terminate"));
+            }
+            page = next;
+        }
+    }
+
     /// Ordered scan of `[start, end)` style bounds over (key, value) pairs.
     pub fn range(&self, start: Bound<&[u8]>, end: Bound<Vec<u8>>) -> StoreResult<RangeIter<'a>> {
         // Find the first leaf/slot at or after `start`.
@@ -693,31 +832,7 @@ impl<'a> BTree<'a> {
             Bound::Included(k) | Bound::Excluded(k) => k,
             Bound::Unbounded => &[],
         };
-        let mut page = self.root;
-        let mut depth = 0usize;
-        loop {
-            depth += 1;
-            if depth > MAX_DEPTH {
-                return Err(StoreError::Corrupt("tree deeper than the descent bound"));
-            }
-            enum Down {
-                Leaf,
-                Child(PageId),
-                NotATreePage,
-            }
-            let down = self.pool.read_with(page, |p| match tag(p) {
-                TAG_INTERIOR => Down::Child(child_for_key(p, start_key)),
-                TAG_LEAF => Down::Leaf,
-                _ => Down::NotATreePage,
-            })?;
-            match down {
-                Down::Leaf => break,
-                Down::Child(c) => page = c,
-                Down::NotATreePage => {
-                    return Err(StoreError::Corrupt("descent reached a non-tree page"))
-                }
-            }
-        }
+        let page = self.leaf_for(start_key)?;
         let mut iter = RangeIter {
             pool: self.pool,
             leaf: page,

@@ -821,6 +821,32 @@ impl Tree {
         }
     }
 
+    /// The greatest key strictly below `upper`, or `None` when every key
+    /// is at or above it — one descent, no scan (see
+    /// [`BTree::last_key_below`]). Values are never read.
+    pub fn last_key_below(&self, upper: &[u8]) -> StoreResult<Option<Vec<u8>>> {
+        let root = *self.root.lock();
+        BTree::open(&self.pool, root).last_key_below(Some(upper))
+    }
+
+    /// The greatest key beginning with `prefix`, if any: the
+    /// [`Tree::last_key_below`] seek bounded by the prefix's successor.
+    pub fn last_key_with_prefix(&self, prefix: &[u8]) -> StoreResult<Option<Vec<u8>>> {
+        let root = *self.root.lock();
+        let upper = prefix_successor(prefix);
+        let last = BTree::open(&self.pool, root).last_key_below(upper.as_deref())?;
+        Ok(last.filter(|k| k.starts_with(prefix)))
+    }
+
+    /// Number of keys beginning with `prefix`, counted per leaf by
+    /// binary search without materialising a key (see
+    /// [`BTree::count_range`]): O(depth + leaves spanned).
+    pub fn count_prefix(&self, prefix: &[u8]) -> StoreResult<u64> {
+        let root = *self.root.lock();
+        let end = prefix_successor(prefix);
+        BTree::open(&self.pool, root).count_range(prefix, end.as_deref())
+    }
+
     /// Number of entries — O(n).
     pub fn len(&self) -> StoreResult<usize> {
         let root = *self.root.lock();
