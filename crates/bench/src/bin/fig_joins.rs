@@ -12,8 +12,9 @@
 //!    decoded type column), vs the batched kernel
 //!    (`closest_children_batch`: one forward gallop pass resolving the
 //!    whole document-ordered parent set), plus the `has_closest_child`
-//!    existence probe. All sides are verified to return identical
-//!    groups before timing.
+//!    existence probe. Every probe runs on one `Snapshot`, pinned
+//!    before any timed loop. All sides are verified to return
+//!    identical groups before timing.
 //! 3. **Cold open** — reopen a file-backed store and touch every type
 //!    column once: persisted column segments (delta/varint-compressed
 //!    v2 records, mmap-backed where the platform allows) vs the lazy
@@ -41,7 +42,7 @@
 use std::time::Instant;
 use xmorph_bench::harness::{BenchStore, StoreKind};
 use xmorph_bench::table::Table;
-use xmorph_core::{OpenOptions, ShredOptions, ShreddedDoc, TypeId};
+use xmorph_core::{OpenOptions, ShredOptions, ShreddedDoc, Snapshot, TypeId, TypeTable};
 use xmorph_datagen::XmarkConfig;
 use xmorph_pagestore::Store;
 use xmorph_xml::dewey::Dewey;
@@ -97,7 +98,7 @@ fn main() {
 
     let bench_store = BenchStore::create(StoreKind::Memory, 4096);
     let doc = ShreddedDoc::shred_str(&bench_store.store, &xml).expect("shred");
-    let joins = bench_joins(&doc, iters);
+    let joins = bench_joins(&doc.snapshot(), iters);
 
     let mut table = Table::new(&[
         "join pair",
@@ -388,16 +389,18 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
     }
     // Post-mutation joins: the merged columns must agree with the
     // B+tree everywhere before timing.
+    let snap = doc.snapshot();
     let mut probe_targets = Vec::new();
     for &(ppath, cpath) in JOIN_PAIRS {
-        let (Some(pt), Some(ct)) = (lookup(&doc, ppath), lookup(&doc, cpath)) else {
+        let (Some(pt), Some(ct)) = (lookup(snap.types(), ppath), lookup(snap.types(), cpath))
+        else {
             continue;
         };
-        let parents = doc.scan_type(pt);
+        let parents = snap.scan_type(pt);
         for (p, _) in &parents {
             assert_eq!(
-                doc.closest_children(p, pt, ct),
-                doc.closest_children_btree(p, pt, ct),
+                snap.closest_children(p, pt, ct),
+                snap.closest_children_btree(p, pt, ct),
                 "post-update columnar/btree divergence at {p}"
             );
         }
@@ -407,7 +410,7 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
         let mut probes = 0usize;
         for (pt, ct, parents) in &probe_targets {
             for (p, _) in parents {
-                doc.closest_group(p, *pt, *ct);
+                snap.closest_group(p, *pt, *ct);
                 probes += 1;
             }
         }
@@ -424,7 +427,7 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
     // which sees none of the quarantined extents.
     let stats = store.stats().expect("stats");
     let dead_pages = store.page_count() - store.live_page_count().expect("live page count");
-    drop(doc);
+    drop((snap, doc));
     let reclaimed = store.vacuum().expect("vacuum");
     store.close().expect("close");
 
@@ -444,11 +447,13 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
         doc.segment_fallbacks()
     );
     let cold_redecodes = doc.maintenance_stats().column_rebuilds;
-    if let (Some(pt), Some(ct)) = (lookup(&doc, JOIN_PAIRS[0].0), lookup(&doc, JOIN_PAIRS[0].1)) {
-        for (p, _) in doc.scan_type(pt) {
+    let snap = doc.snapshot();
+    let (ppath, cpath) = JOIN_PAIRS[0];
+    if let (Some(pt), Some(ct)) = (lookup(snap.types(), ppath), lookup(snap.types(), cpath)) {
+        for (p, _) in snap.scan_type(pt) {
             assert_eq!(
-                doc.closest_children(&p, pt, ct),
-                doc.closest_children_btree(&p, pt, ct),
+                snap.closest_children(&p, pt, ct),
+                snap.closest_children_btree(&p, pt, ct),
                 "post-vacuum columnar/btree divergence at {p}"
             );
         }
@@ -647,15 +652,15 @@ impl JoinBench {
     }
 }
 
-fn lookup(doc: &ShreddedDoc, dotted: &str) -> Option<TypeId> {
+fn lookup(types: &TypeTable, dotted: &str) -> Option<TypeId> {
     let path: Vec<String> = dotted.split('.').map(|s| s.to_string()).collect();
-    doc.types().lookup(&path)
+    types.lookup(&path)
 }
 
-fn bench_joins(doc: &ShreddedDoc, iters: usize) -> Vec<JoinBench> {
+fn bench_joins(doc: &Snapshot, iters: usize) -> Vec<JoinBench> {
     let mut out = Vec::new();
     for &(ppath, cpath) in JOIN_PAIRS {
-        let (Some(pt), Some(ct)) = (lookup(doc, ppath), lookup(doc, cpath)) else {
+        let (Some(pt), Some(ct)) = (lookup(doc.types(), ppath), lookup(doc.types(), cpath)) else {
             println!("skipping {ppath} -> {cpath}: type missing at this scale");
             continue;
         };
@@ -690,9 +695,8 @@ fn bench_joins(doc: &ShreddedDoc, iters: usize) -> Vec<JoinBench> {
         drop((batch_col, batch_ranges));
         let probes = parents.len() * iters;
 
-        // The columnar side rebuilds its own columns (first pass);
-        // best-of-passes reports the hot path on both sides.
-        doc.evict_columns();
+        // The correctness gate above resolved every column and join
+        // plan; best-of-passes reports the hot path on every side.
         let mut touched = 0usize;
         let columnar = best_rate(iters, || {
             let mut n = 0;

@@ -1,13 +1,11 @@
 //! The unified query surface: [`Engine`] / [`Session`] /
 //! [`QueryRequest`].
 //!
-//! Earlier layers of this repository accreted several ways to run a
-//! guard — [`Guard::apply_to_str`], [`Guard::apply_with`], the
-//! [`apply_parallel`]/[`render_parallel`] free functions, and direct
-//! [`ShreddedDoc`] probes. They all still work (the free functions are
-//! kept as thin `#[doc(hidden)]` wrappers), but everything that acts as
-//! a *service* — the TCP server in `xmorph-server`, the `xmorph` CLI,
-//! the scaling benchmarks — now goes through one funnel:
+//! There are several ways to run a guard — [`Guard::apply_to_str`],
+//! [`Guard::apply_with`], the [`render_parallel`] free function, and
+//! direct [`Snapshot`] probes — but everything that acts as a
+//! *service* — the TCP server in `xmorph-server`, the `xmorph` CLI, the
+//! scaling benchmarks — goes through one funnel:
 //!
 //! ```
 //! use xmorph_core::{Engine, QueryRequest};
@@ -45,7 +43,6 @@
 //! of the column-cache footprint — the pages and segments *this* query
 //! touched, not store-lifetime aggregates.
 //!
-//! [`apply_parallel`]: crate::semantics::parallel::apply_parallel
 //! [`render_parallel`]: crate::semantics::parallel::render_parallel
 
 use crate::error::{MorphError, MorphResult};

@@ -13,7 +13,7 @@ use crate::lang::ast::{Ast, CastMode};
 use crate::lang::parse;
 use crate::model::shape::AdornedShape;
 use crate::model::types::TypeId;
-use crate::render::{render, RenderOptions};
+use crate::render::{render_snapshot, RenderOptions};
 use crate::report::{GuardTyping, LabelReport, LossReport};
 use crate::semantics::eval::{eval_guard, DistOracle, EvalCtx};
 use crate::semantics::shape::Shape;
@@ -165,9 +165,10 @@ impl Guard {
     /// Run the compile phase against a shredded document: evaluate ξ,
     /// produce both reports, but do not render. This is the cheap "is
     /// the data already in shape / can it be transformed safely?" check
-    /// a query evaluator runs before each query.
+    /// a query evaluator runs before each query. Reads the document
+    /// through its current [`Snapshot`].
     pub fn analyze(&self, doc: &ShreddedDoc) -> MorphResult<GuardAnalysis> {
-        self.analyze_with(doc.shape(), &Shape::from_adorned(doc.shape()), doc)
+        self.analyze_snapshot(&doc.snapshot())
     }
 
     /// [`Guard::analyze`] against a pinned [`Snapshot`]: the same
@@ -205,10 +206,12 @@ impl Guard {
     }
 
     /// [`Guard::apply`] with explicit render options.
+    /// Analysis and render read one pinned [`Snapshot`].
     pub fn apply_with(&self, doc: &ShreddedDoc, opts: &RenderOptions) -> MorphResult<GuardOutput> {
-        let analysis = self.analyze(doc)?;
+        let snap = doc.snapshot();
+        let analysis = self.analyze_snapshot(&snap)?;
         analysis.enforce()?;
-        let xml = render(doc, &analysis.target, opts)?;
+        let xml = render_snapshot(&snap, &analysis.target, opts)?;
         Ok(GuardOutput { xml, analysis })
     }
 
@@ -241,8 +244,9 @@ impl Guard {
     /// the source shape with identical parent/child edges — in that case
     /// a query could run on the source directly.
     pub fn data_already_in_shape(&self, doc: &ShreddedDoc) -> MorphResult<bool> {
-        let src = Shape::from_adorned(doc.shape());
-        let analysis = self.analyze_with(doc.shape(), &src, doc)?;
+        let snap = doc.snapshot();
+        let src = Shape::from_adorned(snap.shape());
+        let analysis = self.analyze_with(snap.shape(), &src, &*snap)?;
         Ok(shape_is_fragment(&analysis.target, &src))
     }
 }

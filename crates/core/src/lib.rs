@@ -79,9 +79,7 @@ pub use model::card::{Card, CardMax};
 pub use model::shape::AdornedShape;
 pub use model::types::{TypeId, TypeTable};
 pub use report::{GuardTyping, LabelReport, LossReport};
-pub use semantics::parallel::{
-    apply_parallel, render_parallel, render_parallel_snapshot, ParallelOptions,
-};
+pub use semantics::parallel::{render_parallel, render_parallel_snapshot, ParallelOptions};
 pub use store::mutate::MaintenanceStats;
 // Re-exported because [`Mutation`] addresses vertices by Dewey number.
 pub use store::shredded::{

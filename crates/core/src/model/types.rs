@@ -186,7 +186,7 @@ impl TypeTable {
     /// Tree distance between the two types *in the data guide* — the
     /// lower bound on (and usual value of) the paper's `typeDistance`.
     /// The exact data-backed value lives on
-    /// [`crate::store::shredded::ShreddedDoc::type_distance_exact`].
+    /// [`crate::store::shredded::Snapshot::type_distance_exact`].
     pub fn guide_distance(&self, a: TypeId, b: TypeId) -> Option<usize> {
         let l = self.common_prefix_len(a, b);
         if l == 0 {

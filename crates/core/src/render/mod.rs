@@ -4,7 +4,7 @@
 //! join* pairs a parent instance with the source instances of the child's
 //! type that are closest to it. Because a type's instances all share one
 //! Dewey depth, the join is a single prefix scan (see
-//! [`crate::store::shredded::ShreddedDoc::closest_children`]); output is
+//! [`crate::store::shredded::Snapshot::closest_children`]); output is
 //! produced in document order and streamed. The read cost is linear in
 //! the size of the output; the write cost is quadratic in the worst case
 //! because snippets of source data may be duplicated — both exactly as

@@ -12,7 +12,7 @@
 //! every direct source-backed edge of the root (element children,
 //! attribute children, and RESTRICT filters) is resolved for the *whole*
 //! root slice in one batched gallop pass over its child column
-//! ([`ShreddedDoc::closest_group_batch`]), so per-instance guard
+//! ([`Snapshot::closest_group_batch`]), so per-instance guard
 //! evaluation and child joins at the top level become plain indexed
 //! lookups into the precomputed groups. The parallel driver
 //! ([`crate::semantics::parallel`]) gets this per partition: each
@@ -573,7 +573,8 @@ mod tests {
         let store = Store::in_memory();
         let doc = ShreddedDoc::shred_str(&store, xml).unwrap();
         let src = Shape::from_adorned(doc.shape());
-        let mut ctx = EvalCtx::new(&doc);
+        let snap = doc.snapshot();
+        let mut ctx = EvalCtx::new(&*snap);
         let op = lower(&parse(guard).unwrap());
         let tgt = eval_guard(&op, &src, &mut ctx).unwrap();
         render(&doc, &tgt, &RenderOptions::default()).unwrap()
@@ -703,7 +704,8 @@ mod tests {
         let store = Store::in_memory();
         let doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap();
         let src = Shape::from_adorned(doc.shape());
-        let mut ctx = EvalCtx::new(&doc);
+        let snap = doc.snapshot();
+        let mut ctx = EvalCtx::new(&*snap);
         let op = lower(&parse("MORPH title").unwrap());
         let tgt = eval_guard(&op, &src, &mut ctx).unwrap();
         let out = render(
@@ -734,7 +736,8 @@ mod tests {
         let store = Store::in_memory();
         let doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap();
         let src = Shape::from_adorned(doc.shape());
-        let mut ctx = EvalCtx::new(&doc);
+        let snap = doc.snapshot();
+        let mut ctx = EvalCtx::new(&*snap);
         let op = lower(&parse("MORPH author [ name book [ title ] ]").unwrap());
         let tgt = eval_guard(&op, &src, &mut ctx).unwrap();
         let buffered = render(&doc, &tgt, &RenderOptions::default()).unwrap();
@@ -748,7 +751,8 @@ mod tests {
         let store = Store::in_memory();
         let doc = ShreddedDoc::shred_str(&store, "<d><a/></d>").unwrap();
         let src = Shape::from_adorned(doc.shape());
-        let mut ctx = EvalCtx::new(&doc);
+        let snap = doc.snapshot();
+        let mut ctx = EvalCtx::new(&*snap);
         // RESTRICT that matches nothing yields an empty (self-closed)
         // wrapper.
         let op = lower(&parse("CAST MORPH a").unwrap());

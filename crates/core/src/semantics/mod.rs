@@ -14,5 +14,5 @@ pub mod parallel;
 pub mod shape;
 
 pub use eval::{eval_guard, DistOracle, EvalCtx, GuideOracle};
-pub use parallel::{apply_parallel, render_parallel, ParallelOptions};
+pub use parallel::{render_parallel, ParallelOptions};
 pub use shape::{SId, Shape, ShapeNode};

@@ -26,13 +26,12 @@
 //! closest-join kernel: before rendering, the slice resolves every
 //! direct root edge (children, attributes, RESTRICT filters) for all of
 //! its instances in one forward gallop pass per edge
-//! ([`crate::store::shredded::ShreddedDoc::closest_group_batch`]), so
+//! ([`crate::store::shredded::Snapshot::closest_group_batch`]), so
 //! worker threads spend their time emitting output, not re-searching
 //! the child columns. The batch is per slice, so workers share nothing
 //! mutable and the byte-identity argument is unchanged.
 
 use crate::error::MorphResult;
-use crate::guard::{Guard, GuardOutput};
 use crate::render::renderer::{render_root_plain, render_root_slice};
 use crate::render::RenderOptions;
 use crate::semantics::shape::Shape;
@@ -193,26 +192,10 @@ pub fn render_parallel_snapshot(
     Ok(body)
 }
 
-/// Analyze, enforce the typing discipline, and render in parallel — the
-/// multi-threaded counterpart of [`Guard::apply_with`]. Superseded as a
-/// query entry point by [`crate::engine::Engine::query`] (which this
-/// now mirrors); kept as a thin wrapper so existing callers and tests
-/// stay source-compatible.
-#[doc(hidden)]
-pub fn apply_parallel(
-    guard: &Guard,
-    doc: &ShreddedDoc,
-    opts: &ParallelOptions,
-) -> MorphResult<GuardOutput> {
-    let analysis = guard.analyze(doc)?;
-    analysis.enforce()?;
-    let xml = render_parallel(doc, &analysis.target, opts)?;
-    Ok(GuardOutput { xml, analysis })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guard::Guard;
     use crate::render::render;
     use xmorph_pagestore::Store;
 
@@ -242,9 +225,10 @@ mod tests {
         let guard = Guard::parse(guard_src).unwrap();
         let (_s, doc) = shred(xml);
         let sequential = guard.apply(&doc).unwrap().xml;
+        let target = guard.analyze(&doc).unwrap().target;
         for threads in [1, 2, 3, 4, 8] {
             let opts = ParallelOptions::with_threads(threads);
-            let parallel = apply_parallel(&guard, &doc, &opts).unwrap().xml;
+            let parallel = render_parallel(&doc, &target, &opts).unwrap();
             assert_eq!(parallel, sequential, "threads={threads} guard={guard_src}");
         }
     }
@@ -288,8 +272,9 @@ mod tests {
         let guard = Guard::parse("MORPH book [ title ]").unwrap();
         let (_s, doc) = shred(&library(2));
         let sequential = guard.apply(&doc).unwrap().xml;
+        let target = guard.analyze(&doc).unwrap().target;
         let opts = ParallelOptions::with_threads(16);
-        assert_eq!(apply_parallel(&guard, &doc, &opts).unwrap().xml, sequential);
+        assert_eq!(render_parallel(&doc, &target, &opts).unwrap(), sequential);
     }
 
     #[test]

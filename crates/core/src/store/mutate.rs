@@ -109,8 +109,9 @@ pub struct MaintenanceStats {
     /// Columns invalidated outright (uncached at mutation time); they
     /// rebuild lazily if and when next touched.
     pub invalidated_columns: u64,
-    /// Full column decodes from the `typeseq` tree (cache misses
-    /// without a usable persisted segment) since this handle opened.
+    /// Full column decodes from the `typeseq` tree (loads without a
+    /// usable persisted segment) since this handle opened, counting the
+    /// loads of every snapshot it published.
     pub column_rebuilds: u64,
 }
 
@@ -549,7 +550,7 @@ impl ShreddedDoc {
         MaintenanceStats {
             merged_columns: self.merged_columns.load(Ordering::Relaxed),
             invalidated_columns: self.invalidated_columns,
-            column_rebuilds: self.rebuilds.load(Ordering::Relaxed),
+            column_rebuilds: self.shared.rebuilds.load(Ordering::Relaxed),
         }
     }
 
@@ -736,19 +737,6 @@ impl ShreddedDoc {
                 touched.insert(*t, epoch);
             }
             drop(touched);
-            // Scoped invalidation: a cached distance or join plan
-            // depends only on its two types' columns and instance
-            // counts, so entries where neither side moved stay exact.
-            // (Plans additionally pin a column Arc — stale for moved
-            // types, hence they retire with the same predicate.)
-            self.plan_cache
-                .write()
-                .unwrap()
-                .retain(|(a, b), _| !deltas.contains_key(a) && !deltas.contains_key(b));
-            self.dist_cache
-                .lock()
-                .unwrap()
-                .retain(|(a, b), _| !deltas.contains_key(a) && !deltas.contains_key(b));
         }
         for (t, delta) in deltas {
             // First touch since the last persist pays the bump: a new
@@ -876,8 +864,9 @@ mod tests {
         assert_eq!(doc.shape().card(author).min, 0);
         // The closest join no longer finds an author for book 1.1.
         let book = ty(&doc, "data.book");
-        assert!(!doc.has_closest_child(&d("1.1"), book, author));
-        assert!(doc.has_closest_child(&d("1.2"), book, author));
+        let snap = doc.snapshot();
+        assert!(!snap.has_closest_child(&d("1.1"), book, author));
+        assert!(snap.has_closest_child(&d("1.2"), book, author));
     }
 
     #[test]
@@ -924,7 +913,7 @@ mod tests {
         // The new type joins: the review's closest title is book 1's.
         let title = ty(&doc, "data.book.title");
         let (dewey, _) = doc.scan_type(review).remove(0);
-        let joined = doc.closest_children(&dewey, review, title);
+        let joined = doc.snapshot().closest_children(&dewey, review, title);
         assert_eq!(joined.len(), 1);
         assert_eq!(joined[0].1, "X");
     }
@@ -958,7 +947,8 @@ mod tests {
         // neighbour's.
         let publisher = ty(&doc, "data.book.publisher");
         let moved_book = doc.scan_type(ty(&doc, "data.book"))[2].0.clone();
-        let joined = doc.closest_children(&doc.scan_type(publisher)[1].0.clone(), publisher, title);
+        let second = doc.scan_type(publisher)[1].0.clone();
+        let joined = doc.snapshot().closest_children(&second, publisher, title);
         assert_eq!(joined.len(), 1);
         assert_eq!(joined[0].1, "Y");
         assert!(moved_book.components()[1] > 2);
@@ -979,11 +969,12 @@ mod tests {
         let b = ty(&doc, "d.b");
         // x and b never co-occur below the root: distance via root = 3.
         let x = ty(&doc, "d.a.x");
-        assert_eq!(doc.type_distance_exact(x, b), Some(3));
-        // Insert an x inside... a new b under a: now a holds both.
+        assert_eq!(doc.snapshot().type_distance_exact(x, b), Some(3));
+        // Insert an x inside... a new b under a: now a holds both. The
+        // new epoch's snapshot starts with an empty distance cache.
         doc.insert_subtree(&d("1.1"), "<b>3</b>").unwrap();
         let ab = ty(&doc, "d.a.b");
-        assert_eq!(doc.type_distance_exact(x, ab), Some(2));
+        assert_eq!(doc.snapshot().type_distance_exact(x, ab), Some(2));
     }
 
     #[test]
@@ -1167,15 +1158,16 @@ mod tests {
                 .unwrap();
             doc.delete_subtree(&d("1.1.3")).unwrap();
             let check = |doc: &ShreddedDoc| {
-                for a in doc.types().ids().collect::<Vec<_>>() {
+                let snap = doc.snapshot();
+                for a in snap.types().ids().collect::<Vec<_>>() {
                     let parents: Vec<Dewey> =
-                        doc.scan_type(a).into_iter().map(|(p, _)| p).collect();
-                    for b in doc.types().ids().collect::<Vec<_>>() {
-                        let Some((_, ranges)) = doc.closest_children_batch(&parents, a, b) else {
+                        snap.scan_type(a).into_iter().map(|(p, _)| p).collect();
+                    for b in snap.types().ids().collect::<Vec<_>>() {
+                        let Some((_, ranges)) = snap.closest_children_batch(&parents, a, b) else {
                             continue;
                         };
                         for (p, r) in parents.iter().zip(&ranges) {
-                            let (_, want) = doc.closest_group(p, a, b).unwrap();
+                            let (_, want) = snap.closest_group(p, a, b).unwrap();
                             assert_eq!(*r, want, "batch group {p} {a:?}->{b:?}");
                         }
                     }

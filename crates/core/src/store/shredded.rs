@@ -273,6 +273,14 @@ impl ColumnBytes {
     pub fn total(&self) -> usize {
         self.heap + self.mapped
     }
+
+    fn of<'a>(cols: impl IntoIterator<Item = &'a Arc<TypeColumn>>) -> ColumnBytes {
+        cols.into_iter()
+            .fold(ColumnBytes::default(), |acc, c| ColumnBytes {
+                heap: acc.heap + c.heap_bytes(),
+                mapped: acc.mapped + c.mapped_bytes(),
+            })
+    }
 }
 
 /// A clustered copy of one type's `typeseq` range: every instance's
@@ -600,6 +608,13 @@ impl TypeColumn {
         Dewey::from_slice(self.components(i))
     }
 
+    /// Rows `range` materialized as owned `(Dewey, text)` pairs.
+    fn rows(&self, range: Range<usize>) -> Vec<(Dewey, String)> {
+        range
+            .map(|i| (self.dewey(i), self.text(i).to_string()))
+            .collect()
+    }
+
     /// Row range of instances whose components start with `prefix` —
     /// the closest-join group of a parent whose join prefix this is.
     /// One binary search for the lower bound, one short gallop for the
@@ -757,37 +772,15 @@ pub struct ShreddedDoc {
     /// `generation` and every current tygen). Only mutation methods
     /// (`&mut self`) advance it.
     pub(in crate::store) next_gen: u64,
-    /// Open-time knobs (see [`OpenOptions`]).
-    use_persisted: bool,
-    prefer_mmap: bool,
     /// Column-cache budget in bytes; `usize::MAX` means unbounded.
     /// Atomic (not a plain field) so the engine facade can retune the
     /// budget per query on a document shared across server sessions
     /// ([`ShreddedDoc::set_column_budget`]).
     column_budget: AtomicUsize,
-    /// Exact typeDistance cache (the co-occurrence scan is linear; each
-    /// pair is computed at most once per document). Structural
-    /// mutations clear it.
-    pub(in crate::store) dist_cache: Mutex<HashMap<(TypeId, TypeId), Option<usize>, FxBuild>>,
     /// Cached per-type columns — the columnar read path. Reads share
     /// the lock; a miss takes the write lock only to publish the
     /// freshly loaded column.
     pub(in crate::store) columns: RwLock<HashMap<TypeId, Arc<TypeColumn>, FxBuild>>,
-    /// Closest-join plan cache: per `(parent type, child type)` pair,
-    /// the precomputed join prefix length `L` (§VII) and the child
-    /// column, so a hot probe pays a single map lookup instead of a
-    /// distance lookup plus a column lookup. Cleared whenever a cached
-    /// column is evicted or replaced.
-    #[allow(clippy::type_complexity)]
-    pub(in crate::store) plan_cache:
-        RwLock<HashMap<(TypeId, TypeId), Option<(usize, Arc<TypeColumn>)>, FxBuild>>,
-    /// Persisted segments that failed validation and fell back to a
-    /// rebuild, as `"segment: reason"` lines.
-    fallbacks: Mutex<Vec<String>>,
-    /// Full column decodes from `typeseq` (cache misses without a
-    /// usable persisted segment) — the "re-decode" cost the per-type
-    /// maintenance keeps low.
-    pub(in crate::store) rebuilds: AtomicU64,
     /// Cached columns updated by sorted-run merge — counted when the
     /// deferred merge actually runs (on the first read after a burst of
     /// mutations), not per mutation.
@@ -813,8 +806,9 @@ pub struct ShreddedDoc {
     /// while the epoch has not moved.
     pub(in crate::store) epoch: u64,
     /// Coordination state shared with every published snapshot (the
-    /// writer gate, the per-type touch epochs, and the live-snapshot
-    /// registry the copy-on-write pin walks).
+    /// writer gate, the per-type touch epochs, the live-snapshot
+    /// registry the copy-on-write pin walks, and the column loader with
+    /// its counters).
     pub(in crate::store) shared: Arc<DocShared>,
     /// The most recently published snapshot, kept so repeated
     /// [`ShreddedDoc::snapshot`] calls between mutations are one Arc
@@ -950,6 +944,31 @@ fn co_occur_columns(a: &TypeColumn, b: &TypeColumn, level: usize) -> bool {
     false
 }
 
+/// `typeDistance` (Def. 2) given a co-occurrence test: `None` when
+/// either type has no instances, 0 for a type with itself, otherwise
+/// the tree distance through the deepest Dewey level at which some
+/// instance of `a` and some instance of `b` share a prefix. Levels are
+/// tried from the deepest shared path prefix upward.
+fn distance_by_levels(
+    shape: &AdornedShape,
+    a: TypeId,
+    b: TypeId,
+    mut co_occur: impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    if shape.instance_count(a) == 0 || shape.instance_count(b) == 0 {
+        return None;
+    }
+    if a == b {
+        return Some(0);
+    }
+    let types = shape.types();
+    let (la, lb) = (types.dewey_len(a), types.dewey_len(b));
+    (1..=types.common_prefix_len(a, b))
+        .rev()
+        .find(|&level| co_occur(level))
+        .map(|level| la + lb - 2 * level)
+}
+
 /// State a [`ShreddedDoc`] shares with every [`Snapshot`] it has
 /// published — the coordination points of the single-writer /
 /// many-snapshot-readers protocol.
@@ -967,27 +986,78 @@ fn co_occur_columns(a: &TypeColumn, b: &TypeColumn, level: usize) -> bool {
 ///   copy-on-writes the pre-mutation column into each live snapshot
 ///   that has not resolved the touched type yet ([`ShreddedDoc`]'s
 ///   `cow_pin`), which is what makes lazy snapshot loads sound.
+/// * the column loader ([`DocShared::load_column`]) with the open-time
+///   knobs it obeys and the counters it keeps, so a load counts the
+///   same whichever handle faulted it in.
 pub(in crate::store) struct DocShared {
     pub(in crate::store) gate: RwLock<()>,
     pub(in crate::store) touched: Mutex<HashMap<TypeId, u64>>,
     pub(in crate::store) live: Mutex<Vec<Weak<Snapshot>>>,
+    /// Open-time knobs (see [`OpenOptions`]).
+    use_persisted: bool,
+    prefer_mmap: bool,
+    /// Persisted segments that failed validation and fell back to a
+    /// rebuild, as `"segment: reason"` lines.
+    fallbacks: Mutex<Vec<String>>,
+    /// Full column decodes from `typeseq` (loads without a usable
+    /// persisted segment) — the "re-decode" cost the per-type
+    /// maintenance keeps low.
+    pub(in crate::store) rebuilds: AtomicU64,
 }
 
 impl DocShared {
-    fn new() -> Arc<DocShared> {
+    fn new(use_persisted: bool, prefer_mmap: bool) -> Arc<DocShared> {
         Arc::new(DocShared {
             gate: RwLock::new(()),
             touched: Mutex::new(HashMap::new()),
             live: Mutex::new(Vec::new()),
+            use_persisted,
+            prefer_mmap,
+            fallbacks: Mutex::new(Vec::new()),
+            rebuilds: AtomicU64::new(0),
         })
+    }
+
+    /// Load one type's column — the one loader behind both
+    /// [`ShreddedDoc::column`] and [`Snapshot::column`]. Prefers a
+    /// persisted column segment carrying `generation` (memory-mapped
+    /// when the store and platform allow) and falls back to decoding
+    /// the `typeseq` range when the segment is missing, stale, or
+    /// corrupt, recording why.
+    fn load_column(
+        &self,
+        store: &Store,
+        typeseq: &Tree,
+        width: usize,
+        generation: u64,
+        t: TypeId,
+    ) -> TypeColumn {
+        if self.use_persisted {
+            let name = colseg::segment_name(t);
+            let reason = match store.get_segment(&name, self.prefer_mmap) {
+                Ok(Some(seg)) => match colseg::parse(&seg, width, generation) {
+                    Ok(parsed) => return TypeColumn::from_segment(seg, parsed),
+                    Err(reason) => Some(reason.to_string()),
+                },
+                Ok(None) => None,
+                Err(e) => Some(e.to_string()),
+            };
+            if let Some(reason) = reason {
+                self.fallbacks
+                    .lock()
+                    .unwrap()
+                    .push(format!("{name}: {reason}"));
+            }
+        }
+        self.rebuilds.fetch_add(1, Ordering::Relaxed);
+        decode_typeseq_column(typeseq, width, t)
     }
 }
 
 /// Decode one type's column straight from the `typeseq` tree — the
-/// shared fallback build both [`ShreddedDoc::column`] and
-/// [`Snapshot::column`] use when no valid persisted segment exists.
-/// Malformed entries are skipped, matching the lenient decoding of the
-/// scans this replaces.
+/// fallback build [`DocShared::load_column`] uses when no valid
+/// persisted segment exists. Malformed entries are skipped, matching
+/// the lenient decoding of the scans this replaces.
 fn decode_typeseq_column(typeseq: &Tree, width: usize, t: TypeId) -> TypeColumn {
     let mut comps: Vec<u32> = Vec::new();
     let mut texts = String::new();
@@ -1022,6 +1092,19 @@ fn decode_typeseq_column(typeseq: &Tree, width: usize, t: TypeId) -> TypeColumn 
             offsets,
         },
     }
+}
+
+/// The `(Dewey, text)` rows of `typeseq` under a key prefix, straight
+/// from the tree — the B+tree reference reads.
+fn typeseq_rows(typeseq: &Tree, prefix: &[u8]) -> Vec<(Dewey, String)> {
+    typeseq
+        .scan_prefix(prefix)
+        .filter_map(|(k, v)| {
+            let dewey = Dewey::decode(k.get(4..)?)?;
+            let text = String::from_utf8(v).ok()?;
+            Some((dewey, text))
+        })
+        .collect()
 }
 
 // ---- streaming shred machinery (external sort over store segments) ----
@@ -1742,21 +1825,15 @@ impl ShreddedDoc {
             generation,
             tygens: Mutex::new(HashMap::new()),
             next_gen: generation + 1,
-            use_persisted: true,
-            prefer_mmap: true,
             column_budget: AtomicUsize::new(usize::MAX),
-            dist_cache: Mutex::new(HashMap::default()),
             columns: RwLock::new(HashMap::default()),
-            plan_cache: RwLock::new(HashMap::default()),
-            fallbacks: Mutex::new(Vec::new()),
-            rebuilds: AtomicU64::new(0),
             merged_columns: AtomicU64::new(0),
             pending_deltas: Mutex::new(HashMap::new()),
             invalidated_columns: 0,
             dirty: HashSet::new(),
             bumped_since_persist: HashSet::new(),
             epoch: 0,
-            shared: DocShared::new(),
+            shared: DocShared::new(true, true),
             published: Mutex::new(None),
         }
     }
@@ -1789,21 +1866,15 @@ impl ShreddedDoc {
             generation,
             tygens: Mutex::new(tygens),
             next_gen,
-            use_persisted: opts.persisted_columns,
-            prefer_mmap: opts.mmap,
             column_budget: AtomicUsize::new(opts.column_budget.unwrap_or(usize::MAX)),
-            dist_cache: Mutex::new(HashMap::default()),
             columns: RwLock::new(HashMap::default()),
-            plan_cache: RwLock::new(HashMap::default()),
-            fallbacks: Mutex::new(Vec::new()),
-            rebuilds: AtomicU64::new(0),
             merged_columns: AtomicU64::new(0),
             pending_deltas: Mutex::new(HashMap::new()),
             invalidated_columns: 0,
             dirty: HashSet::new(),
             bumped_since_persist: HashSet::new(),
             epoch: 0,
-            shared: DocShared::new(),
+            shared: DocShared::new(opts.persisted_columns, opts.mmap),
             published: Mutex::new(None),
         };
         match &opts.preload {
@@ -1924,14 +1995,9 @@ impl ShreddedDoc {
             typeseq: self.typeseq.clone(),
             generation: self.generation,
             tygens: self.tygens.lock().unwrap().clone(),
-            use_persisted: self.use_persisted,
-            prefer_mmap: self.prefer_mmap,
             columns: RwLock::new(columns),
-            // The document caches are kept current by scoped
-            // invalidation (entries touching a mutated type retire at
-            // mutation time), so seeding from them is sound.
-            dist_cache: Mutex::new(self.dist_cache.lock().unwrap().clone()),
-            plan_cache: RwLock::new(self.plan_cache.read().unwrap().clone()),
+            dist_cache: Mutex::new(HashMap::default()),
+            plan_cache: RwLock::new(HashMap::default()),
             source_shape: OnceLock::new(),
             analyses: Mutex::new(HashMap::new()),
             shared: Arc::clone(&self.shared),
@@ -2014,11 +2080,7 @@ impl ShreddedDoc {
             // by evicting cache entries — so the cache only gets what
             // the snapshots leave over.
             let pinned = Self::pinned_beyond(&map, &self.shared);
-            let effective = budget.saturating_sub(pinned);
-            if Self::enforce_budget(&mut map, effective, t) {
-                // Evicted columns must not stay pinned by cached plans.
-                self.plan_cache.write().unwrap().clear();
-            }
+            Self::enforce_budget(&mut map, budget.saturating_sub(pinned), t);
         }
         col
     }
@@ -2048,24 +2110,13 @@ impl ShreddedDoc {
         map: &mut HashMap<TypeId, Arc<TypeColumn>, FxBuild>,
         budget: usize,
         keep: TypeId,
-    ) -> bool {
-        let total = |m: &HashMap<TypeId, Arc<TypeColumn>, FxBuild>| {
-            m.values()
-                .map(|c| c.heap_bytes() + c.mapped_bytes())
-                .sum::<usize>()
-        };
-        let mut evicted = false;
-        while total(map) > budget && map.len() > 1 {
-            let victim = map.keys().find(|&&k| k != keep).copied();
-            match victim {
-                Some(v) => {
-                    map.remove(&v);
-                    evicted = true;
-                }
+    ) {
+        while ColumnBytes::of(map.values()).total() > budget && map.len() > 1 {
+            match map.keys().find(|&&k| k != keep).copied() {
+                Some(v) => map.remove(&v),
                 None => break,
             };
         }
-        evicted
     }
 
     /// Column bytes live snapshots keep alive *beyond* the entries in
@@ -2120,31 +2171,13 @@ impl ShreddedDoc {
     }
 
     fn load_column(&self, t: TypeId) -> TypeColumn {
-        let width = self.shape.types().dewey_len(t);
-        if self.use_persisted {
-            let name = colseg::segment_name(t);
-            match self.store.get_segment(&name, self.prefer_mmap) {
-                Ok(Some(seg)) => match colseg::parse(&seg, width, self.expected_generation(t)) {
-                    Ok(parsed) => return TypeColumn::from_segment(seg, parsed),
-                    Err(reason) => self.record_fallback(&name, reason),
-                },
-                Ok(None) => {}
-                Err(e) => self.record_fallback(&name, &e.to_string()),
-            }
-        }
-        self.build_column(t)
-    }
-
-    fn record_fallback(&self, segment: &str, reason: &str) {
-        self.fallbacks
-            .lock()
-            .unwrap()
-            .push(format!("{segment}: {reason}"));
-    }
-
-    fn build_column(&self, t: TypeId) -> TypeColumn {
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        decode_typeseq_column(&self.typeseq, self.shape.types().dewey_len(t), t)
+        self.shared.load_column(
+            &self.store,
+            &self.typeseq,
+            self.shape.types().dewey_len(t),
+            self.expected_generation(t),
+            t,
+        )
     }
 
     /// Write every type's column as a persisted segment, then flush so
@@ -2199,26 +2232,20 @@ impl ShreddedDoc {
     /// serving occasional queries.
     pub fn evict_columns(&self) {
         self.columns.write().unwrap().clear();
-        self.plan_cache.write().unwrap().clear();
     }
 
     /// Bytes currently held by cached columns, split by backing (heap
     /// vs memory-mapped).
     pub fn column_bytes(&self) -> ColumnBytes {
-        let map = self.columns.read().unwrap();
-        let mut out = ColumnBytes::default();
-        for c in map.values() {
-            out.heap += c.heap_bytes();
-            out.mapped += c.mapped_bytes();
-        }
-        out
+        ColumnBytes::of(self.columns.read().unwrap().values())
     }
 
     /// Persisted column segments that failed validation on this handle
-    /// and fell back to a lazy rebuild, as `"segment: reason"` lines.
-    /// Empty in healthy operation.
+    /// or on any snapshot it published, and fell back to a lazy
+    /// rebuild, as `"segment: reason"` lines. Empty in healthy
+    /// operation.
     pub fn segment_fallbacks(&self) -> Vec<String> {
-        self.fallbacks.lock().unwrap().clone()
+        self.shared.fallbacks.lock().unwrap().clone()
     }
 
     /// All instances of a type, in document order, with their direct
@@ -2226,209 +2253,21 @@ impl ShreddedDoc {
     /// [`ShreddedDoc::column`] is the zero-copy variant.
     pub fn scan_type(&self, t: TypeId) -> Vec<(Dewey, String)> {
         let col = self.column(t);
-        (0..col.len())
-            .map(|i| (col.dewey(i), col.text(i).to_string()))
-            .collect()
-    }
-
-    /// Exact `typeDistance` (Def. 2): the minimum tree distance over all
-    /// instance pairs, found by scanning candidate least-common-ancestor
-    /// levels from the deepest shared path prefix upward and checking
-    /// *co-occurrence* (two instances sharing a Dewey prefix of that
-    /// length) with a sorted-merge over the two columns. Cached per pair.
-    pub fn type_distance_exact(&self, a: TypeId, b: TypeId) -> Option<usize> {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&hit) = self.dist_cache.lock().unwrap().get(&key) {
-            return hit;
-        }
-        let result = self.compute_distance(key.0, key.1);
-        self.dist_cache.lock().unwrap().insert(key, result);
-        result
-    }
-
-    fn compute_distance(&self, a: TypeId, b: TypeId) -> Option<usize> {
-        let types = self.shape.types();
-        if self.instance_count(a) == 0 || self.instance_count(b) == 0 {
-            return None;
-        }
-        if a == b {
-            return Some(0);
-        }
-        let la = types.dewey_len(a);
-        let lb = types.dewey_len(b);
-        let k = types.common_prefix_len(a, b);
-        let ca = self.column(a);
-        let cb = self.column(b);
-        for level in (1..=k).rev() {
-            if co_occur_columns(&ca, &cb, level) {
-                return Some(la + lb - 2 * level);
-            }
-        }
-        None
-    }
-
-    /// The closest join (§VII), zero-copy: instances of `child_type`
-    /// closest to the given `parent` instance, as the child column plus
-    /// the row range agreeing on the first
-    /// `L = (dewey(parent) + dewey(child) − typeDistance)/2` components.
-    /// Two binary searches on the column; `None` when the types are
-    /// unrelated in the data.
-    pub fn closest_group(
-        &self,
-        parent: &Dewey,
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> Option<(Arc<TypeColumn>, Range<usize>)> {
-        let (l, col) = self.join_plan(parent_type, child_type)?;
-        debug_assert_eq!(parent.len(), self.shape.types().dewey_len(parent_type));
-        let range = col.prefix_range(&parent.components()[..l.min(parent.len())]);
-        Some((col, range))
-    }
-
-    /// The cached plan for a closest join of `child_type` instances
-    /// under `parent_type` instances: the join prefix length
-    /// `L = (dewey(parent) + dewey(child) − typeDistance)/2` and the
-    /// child column. Computed once per pair; every later probe is one
-    /// map lookup.
-    fn join_plan(
-        &self,
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> Option<(usize, Arc<TypeColumn>)> {
-        if let Some(hit) = self
-            .plan_cache
-            .read()
-            .unwrap()
-            .get(&(parent_type, child_type))
-        {
-            return hit.clone();
-        }
-        let plan = self.type_distance_exact(parent_type, child_type).map(|d| {
-            let types = self.shape.types();
-            let lp = types.dewey_len(parent_type);
-            let lc = types.dewey_len(child_type);
-            ((lp + lc).saturating_sub(d) / 2, self.column(child_type))
-        });
-        self.plan_cache
-            .write()
-            .unwrap()
-            .insert((parent_type, child_type), plan.clone());
-        plan
-    }
-
-    /// Batched closest join for a **document-ordered** parent batch:
-    /// one plan lookup and one forward gallop pass over the child
-    /// column resolve every parent's group
-    /// ([`TypeColumn::prefix_ranges`]), instead of one independent
-    /// binary search per parent. Returns the child column and one row
-    /// range per parent, elementwise equal to
-    /// [`ShreddedDoc::closest_group`] on each parent; `None` when the
-    /// two types are unrelated in the data.
-    pub fn closest_children_batch(
-        &self,
-        parents: &[Dewey],
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> Option<(Arc<TypeColumn>, Vec<Range<usize>>)> {
-        let (l, col) = self.join_plan(parent_type, child_type)?;
-        let ranges = col.prefix_ranges(parents.iter().map(|p| &p.components()[..l.min(p.len())]));
-        Some((col, ranges))
-    }
-
-    /// [`ShreddedDoc::closest_children_batch`] over a row range of an
-    /// already-loaded parent column — the renderer's form: the parents
-    /// are the root instances of one top-level partition, already
-    /// document-ordered by column construction, and no Dewey objects
-    /// are materialized.
-    pub fn closest_group_batch(
-        &self,
-        parent_col: &TypeColumn,
-        rows: Range<usize>,
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> Option<(Arc<TypeColumn>, Vec<Range<usize>>)> {
-        let (l, col) = self.join_plan(parent_type, child_type)?;
-        let width = parent_col.width();
-        let ranges = col.prefix_ranges(rows.map(|i| {
-            let row = parent_col.components(i);
-            &row[..l.min(width)]
-        }));
-        Some((col, ranges))
-    }
-
-    /// The closest join, materialized ([`ShreddedDoc::closest_group`]
-    /// is the zero-copy variant the renderer uses).
-    pub fn closest_children(
-        &self,
-        parent: &Dewey,
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> Vec<(Dewey, String)> {
-        match self.closest_group(parent, parent_type, child_type) {
-            Some((col, range)) => range
-                .map(|i| (col.dewey(i), col.text(i).to_string()))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// A streaming sort-merge cursor over the closest join (§VII's
-    /// pipelined implementation): callers ask for the closest
-    /// `child_type` instances of successive parent instances *in
-    /// document order*, and the cursor advances monotonically through
-    /// the child column — never revisiting rows before the last group.
-    /// Returns `None` when the two types are unrelated in the data.
-    pub fn closest_cursor(&self, parent_type: TypeId, child_type: TypeId) -> Option<ClosestCursor> {
-        let (l, col) = self.join_plan(parent_type, child_type)?;
-        Some(ClosestCursor {
-            col,
-            prefix_len: l,
-            pos: 0,
-            group: 0..0,
-            group_prefix: Vec::new(),
-            has_group: false,
-        })
-    }
-
-    /// Does the parent instance have at least one closest `child_type`
-    /// instance? (Existence check for RESTRICT filters.) A pure
-    /// prefix-range probe — nothing is materialized.
-    pub fn has_closest_child(
-        &self,
-        parent: &Dewey,
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> bool {
-        self.closest_group(parent, parent_type, child_type)
-            .is_some_and(|(_, range)| !range.is_empty())
+        col.rows(0..col.len())
     }
 
     // ---- B+tree reference implementations ----
     //
     // The seed's storage-backed operations, kept verbatim in behaviour:
-    // the ablation benchmark's "naive" strategy runs on them, and the
-    // columnar-equivalence property tests compare against them.
+    // the columnar-equivalence property tests compare the snapshot's
+    // columnar reads against them. The ablation benchmark's "naive"
+    // join is [`Snapshot::closest_children_btree`].
 
     /// `typeDistance` computed through B+tree key scans, bypassing the
-    /// column cache (and the distance cache — each call rescans).
+    /// column cache — each call rescans.
     pub fn type_distance_btree(&self, a: TypeId, b: TypeId) -> Option<usize> {
-        let types = self.shape.types();
-        if self.instance_count(a) == 0 || self.instance_count(b) == 0 {
-            return None;
-        }
-        if a == b {
-            return Some(0);
-        }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        let la = types.dewey_len(a);
-        let lb = types.dewey_len(b);
-        let k = types.common_prefix_len(a, b);
-        for level in (1..=k).rev() {
-            if self.co_occur_btree(a, b, level) {
-                return Some(la + lb - 2 * level);
-            }
-        }
-        None
+        distance_by_levels(&self.shape, a, b, |level| self.co_occur_btree(a, b, level))
     }
 
     /// Do some instance of `a` and some instance of `b` share a Dewey
@@ -2466,54 +2305,14 @@ impl ShreddedDoc {
         false
     }
 
-    /// The closest join through one B+tree prefix probe — the seed hot
-    /// path, kept for the ablation benchmark (`pipelined: false`) and
-    /// the columnar equivalence property tests. The join level still
-    /// comes from the (cached) exact type distance, so the comparison
-    /// isolates probe cost.
-    pub fn closest_children_btree(
-        &self,
-        parent: &Dewey,
-        parent_type: TypeId,
-        child_type: TypeId,
-    ) -> Vec<(Dewey, String)> {
-        let Some(d) = self.type_distance_exact(parent_type, child_type) else {
-            return Vec::new();
-        };
-        let types = self.shape.types();
-        let lp = types.dewey_len(parent_type);
-        let lc = types.dewey_len(child_type);
-        debug_assert_eq!(parent.len(), lp);
-        let l = (lp + lc).saturating_sub(d) / 2;
-        let prefix = parent.prefix(l);
-        let mut key = Vec::with_capacity(4 + prefix.len() * 4);
-        key.extend_from_slice(&child_type.0.to_be_bytes());
-        key.extend_from_slice(&prefix.encode());
-        self.typeseq
-            .scan_prefix(&key)
-            .filter_map(|(k, v)| {
-                let dewey = Dewey::decode(k.get(4..)?)?;
-                let text = String::from_utf8(v).ok()?;
-                Some((dewey, text))
-            })
-            .collect()
-    }
-
     /// [`ShreddedDoc::scan_type`] through the B+tree (reference).
     pub fn scan_type_btree(&self, t: TypeId) -> Vec<(Dewey, String)> {
-        self.typeseq
-            .scan_prefix(&t.0.to_be_bytes())
-            .filter_map(|(k, v)| {
-                let dewey = Dewey::decode(k.get(4..)?)?;
-                let text = String::from_utf8(v).ok()?;
-                Some((dewey, text))
-            })
-            .collect()
+        typeseq_rows(&self.typeseq, &t.0.to_be_bytes())
     }
 }
 
 /// The pipelined closest-join cursor (see
-/// [`ShreddedDoc::closest_cursor`]). Requests must come in
+/// [`Snapshot::closest_cursor`]). Requests must come in
 /// non-decreasing parent (document) order; the last group is cached so
 /// several parents sharing one join prefix all see it. The cursor owns
 /// an `Arc` of the child column, so groups are row ranges — nothing is
@@ -2553,27 +2352,25 @@ impl ClosestCursor {
     }
 }
 
-impl DistOracle for ShreddedDoc {
-    fn type_distance(&self, a: TypeId, b: TypeId) -> Option<usize> {
-        self.type_distance_exact(a, b)
-    }
-}
-
 /// An immutable, epoch-versioned view of a [`ShreddedDoc`] — the unit
 /// of snapshot isolation. Obtained from [`ShreddedDoc::snapshot`];
 /// cheap to clone (`Arc`), safe to share across threads, and stable
 /// under concurrent mutation of the document that published it: every
 /// probe answers from the state at the snapshot's epoch.
 ///
-/// A snapshot freezes the adorned shape and the per-type generations
-/// at publication, seeds its column/distance/plan caches from the
-/// document, and resolves columns it has not seen **lazily** from the
-/// store. Lazy resolution is sound because of the single-writer
-/// protocol: a mutation first copy-on-writes the pre-mutation column
-/// of every type it touches into every live snapshot (so a type this
-/// snapshot has *not* resolved is unchanged since its epoch), and the
-/// shared `gate` lock excludes a lazy load from the span of a
-/// mutation's tree writes (so the load never decodes a torn range).
+/// A snapshot is the one implementation of query-time reads: every
+/// typeDistance, closest join, and type scan a query makes runs here,
+/// while the [`ShreddedDoc`] keeps only the writer's side. A snapshot
+/// freezes the adorned shape and the per-type generations at
+/// publication, starts from the document's resolved columns with empty
+/// distance and plan caches, and resolves columns it has not seen
+/// **lazily** from the store. Lazy resolution is sound because of the
+/// single-writer protocol: a mutation first copy-on-writes the
+/// pre-mutation column of every type it touches into every live
+/// snapshot (so a type this snapshot has *not* resolved is unchanged
+/// since its epoch), and the shared `gate` lock excludes a lazy load
+/// from the span of a mutation's tree writes (so the load never
+/// decodes a torn range).
 ///
 /// Snapshots are not subject to the document's column budget: columns
 /// they resolve or get pinned stay alive until the snapshot drops.
@@ -2594,10 +2391,13 @@ pub struct Snapshot {
     /// live one (a later mutation would have pinned the column), so
     /// segment fencing validates against the right generation.
     tygens: HashMap<TypeId, u64>,
-    use_persisted: bool,
-    prefer_mmap: bool,
     pub(in crate::store) columns: RwLock<HashMap<TypeId, Arc<TypeColumn>, FxBuild>>,
+    /// Exact typeDistance per unordered type pair (the co-occurrence
+    /// scan is linear, so each pair is computed once per snapshot).
     dist_cache: Mutex<HashMap<(TypeId, TypeId), Option<usize>, FxBuild>>,
+    /// Closest-join plan per `(parent type, child type)` pair: the join
+    /// prefix length `L` (§VII) and the child column, so a hot probe
+    /// pays one map lookup instead of a distance plus a column lookup.
     #[allow(clippy::type_complexity)]
     plan_cache: RwLock<HashMap<(TypeId, TypeId), Option<(usize, Arc<TypeColumn>)>, FxBuild>>,
     /// `Shape::from_adorned(shape)`, built on the first analysis miss.
@@ -2686,13 +2486,7 @@ impl Snapshot {
     /// [`ShreddedDoc::column_bytes`]); the engine uses the delta across
     /// a query as the "columns this query faulted in" stat.
     pub fn column_bytes(&self) -> ColumnBytes {
-        let map = self.columns.read().unwrap();
-        let mut out = ColumnBytes::default();
-        for c in map.values() {
-            out.heap += c.heap_bytes();
-            out.mapped += c.mapped_bytes();
-        }
-        out
+        ColumnBytes::of(self.columns.read().unwrap().values())
     }
 
     /// The [`TypeColumn`] of `t` as of this snapshot's epoch: the
@@ -2724,44 +2518,29 @@ impl Snapshot {
                 <= self.epoch,
             "snapshot lazily loading a type mutated after its epoch"
         );
-        let built = Arc::new(self.load_column(t));
-        let mut map = self.columns.write().unwrap();
-        Arc::clone(map.entry(t).or_insert(built))
-    }
-
-    /// The generation a valid persisted segment of `t` must carry,
-    /// per the generations frozen at publication.
-    fn expected_generation(&self, t: TypeId) -> u64 {
-        self.tygens.get(&t).copied().unwrap_or(self.generation)
-    }
-
-    fn load_column(&self, t: TypeId) -> TypeColumn {
+        // Segments validate against the generations frozen at publication.
+        let generation = self.tygens.get(&t).copied().unwrap_or(self.generation);
         let width = self.shape.types().dewey_len(t);
-        if self.use_persisted {
-            let name = colseg::segment_name(t);
-            if let Ok(Some(seg)) = self.store.get_segment(&name, self.prefer_mmap) {
-                if let Ok(parsed) = colseg::parse(&seg, width, self.expected_generation(t)) {
-                    return TypeColumn::from_segment(seg, parsed);
-                }
-                // Stale or corrupt segments degrade to the tree
-                // rebuild, same as the document path; fallback
-                // accounting stays a document-handle concern.
-            }
-        }
-        decode_typeseq_column(&self.typeseq, width, t)
+        let built = self
+            .shared
+            .load_column(&self.store, &self.typeseq, width, generation, t);
+        let mut map = self.columns.write().unwrap();
+        Arc::clone(map.entry(t).or_insert(Arc::new(built)))
     }
 
     /// All instances of a type at the snapshot's epoch, in document
     /// order, with their direct text.
     pub fn scan_type(&self, t: TypeId) -> Vec<(Dewey, String)> {
         let col = self.column(t);
-        (0..col.len())
-            .map(|i| (col.dewey(i), col.text(i).to_string()))
-            .collect()
+        col.rows(0..col.len())
     }
 
-    /// Exact `typeDistance` (Def. 2) over the snapshot's columns.
-    /// Cached per pair on the snapshot.
+    /// Exact `typeDistance` (Def. 2): the minimum tree distance over all
+    /// instance pairs, found by scanning candidate least-common-ancestor
+    /// levels from the deepest shared path prefix upward and checking
+    /// *co-occurrence* (two instances sharing a Dewey prefix of that
+    /// length) with a sorted-merge over the two columns. Cached per
+    /// pair on the snapshot.
     pub fn type_distance_exact(&self, a: TypeId, b: TypeId) -> Option<usize> {
         let key = if a <= b { (a, b) } else { (b, a) };
         if let Some(&hit) = self.dist_cache.lock().unwrap().get(&key) {
@@ -2773,26 +2552,18 @@ impl Snapshot {
     }
 
     fn compute_distance(&self, a: TypeId, b: TypeId) -> Option<usize> {
-        let types = self.shape.types();
-        if self.instance_count(a) == 0 || self.instance_count(b) == 0 {
-            return None;
-        }
-        if a == b {
-            return Some(0);
-        }
-        let la = types.dewey_len(a);
-        let lb = types.dewey_len(b);
-        let k = types.common_prefix_len(a, b);
-        let ca = self.column(a);
-        let cb = self.column(b);
-        for level in (1..=k).rev() {
-            if co_occur_columns(&ca, &cb, level) {
-                return Some(la + lb - 2 * level);
-            }
-        }
-        None
+        let mut cols = None;
+        distance_by_levels(&self.shape, a, b, |level| {
+            let (ca, cb) = cols.get_or_insert_with(|| (self.column(a), self.column(b)));
+            co_occur_columns(ca, cb, level)
+        })
     }
 
+    /// The cached plan for a closest join of `child_type` instances
+    /// under `parent_type` instances: the join prefix length
+    /// `L = (dewey(parent) + dewey(child) − typeDistance)/2` and the
+    /// child column. Computed once per pair; every later probe is one
+    /// map lookup.
     fn join_plan(
         &self,
         parent_type: TypeId,
@@ -2819,9 +2590,12 @@ impl Snapshot {
         plan
     }
 
-    /// The closest join (§VII), zero-copy, at the snapshot's epoch —
-    /// elementwise equal to [`ShreddedDoc::closest_group`] on the
-    /// document state the snapshot pinned.
+    /// The closest join (§VII), zero-copy, at the snapshot's epoch:
+    /// instances of `child_type` closest to the given `parent`
+    /// instance, as the child column plus the row range agreeing on the
+    /// first `L = (dewey(parent) + dewey(child) − typeDistance)/2`
+    /// components. Two binary searches on the column; `None` when the
+    /// types are unrelated in the data.
     pub fn closest_group(
         &self,
         parent: &Dewey,
@@ -2834,8 +2608,11 @@ impl Snapshot {
         Some((col, range))
     }
 
-    /// Batched closest join over a parent row range — the renderer's
-    /// form; see [`ShreddedDoc::closest_group_batch`].
+    /// [`Snapshot::closest_children_batch`] over a row range of an
+    /// already-loaded parent column — the renderer's form: the parents
+    /// are the root instances of one top-level partition, already
+    /// document-ordered by column construction, and no Dewey objects
+    /// are materialized.
     pub fn closest_group_batch(
         &self,
         parent_col: &TypeColumn,
@@ -2852,8 +2629,14 @@ impl Snapshot {
         Some((col, ranges))
     }
 
-    /// Batched closest join for a document-ordered parent batch; see
-    /// [`ShreddedDoc::closest_children_batch`].
+    /// Batched closest join for a **document-ordered** parent batch:
+    /// one plan lookup and one forward gallop pass over the child
+    /// column resolve every parent's group
+    /// ([`TypeColumn::prefix_ranges`]), instead of one independent
+    /// binary search per parent. Returns the child column and one row
+    /// range per parent, elementwise equal to
+    /// [`Snapshot::closest_group`] on each parent; `None` when the two
+    /// types are unrelated in the data.
     pub fn closest_children_batch(
         &self,
         parents: &[Dewey],
@@ -2865,24 +2648,24 @@ impl Snapshot {
         Some((col, ranges))
     }
 
-    /// The closest join, materialized; see
-    /// [`ShreddedDoc::closest_children`].
+    /// The closest join, materialized ([`Snapshot::closest_group`] is
+    /// the zero-copy variant the renderer uses).
     pub fn closest_children(
         &self,
         parent: &Dewey,
         parent_type: TypeId,
         child_type: TypeId,
     ) -> Vec<(Dewey, String)> {
-        match self.closest_group(parent, parent_type, child_type) {
-            Some((col, range)) => range
-                .map(|i| (col.dewey(i), col.text(i).to_string()))
-                .collect(),
-            None => Vec::new(),
-        }
+        self.closest_group(parent, parent_type, child_type)
+            .map_or_else(Vec::new, |(col, range)| col.rows(range))
     }
 
-    /// A streaming closest-join cursor at the snapshot's epoch; see
-    /// [`ShreddedDoc::closest_cursor`].
+    /// A streaming sort-merge cursor over the closest join (§VII's
+    /// pipelined implementation): callers ask for the closest
+    /// `child_type` instances of successive parent instances *in
+    /// document order*, and the cursor advances monotonically through
+    /// the child column — never revisiting rows before the last group.
+    /// Returns `None` when the two types are unrelated in the data.
     pub fn closest_cursor(&self, parent_type: TypeId, child_type: TypeId) -> Option<ClosestCursor> {
         let (l, col) = self.join_plan(parent_type, child_type)?;
         Some(ClosestCursor {
@@ -2895,8 +2678,9 @@ impl Snapshot {
         })
     }
 
-    /// Existence probe for RESTRICT filters; see
-    /// [`ShreddedDoc::has_closest_child`].
+    /// Does the parent instance have at least one closest `child_type`
+    /// instance? (Existence check for RESTRICT filters.) A pure
+    /// prefix-range probe — nothing is materialized.
     pub fn has_closest_child(
         &self,
         parent: &Dewey,
@@ -2907,10 +2691,13 @@ impl Snapshot {
             .is_some_and(|(_, range)| !range.is_empty())
     }
 
-    /// The B+tree reference join (the ablation path, `pipelined:
-    /// false`). The scan runs under the writer-exclusion gate so it
-    /// never decodes a torn range, but unlike the columnar paths it
-    /// reads the *live* trees: under concurrent mutation its answers
+    /// The closest join through one B+tree prefix probe per parent —
+    /// the seed hot path, kept as the renderer's ablation path
+    /// (`pipelined: false`) and the columnar-equivalence reference. The
+    /// join level still comes from the cached join plan, so a
+    /// comparison isolates probe cost. The scan runs under the
+    /// writer-exclusion gate so it never decodes a torn range, but
+    /// unlike the columnar paths it reads the *live* trees: under concurrent mutation its answers
     /// reflect the current document, not the snapshot's epoch. The
     /// engine's query path always uses the pipelined columnar join.
     pub fn closest_children_btree(
@@ -2919,27 +2706,16 @@ impl Snapshot {
         parent_type: TypeId,
         child_type: TypeId,
     ) -> Vec<(Dewey, String)> {
-        let Some(d) = self.type_distance_exact(parent_type, child_type) else {
+        let Some((l, _)) = self.join_plan(parent_type, child_type) else {
             return Vec::new();
         };
-        let types = self.shape.types();
-        let lp = types.dewey_len(parent_type);
-        let lc = types.dewey_len(child_type);
-        debug_assert_eq!(parent.len(), lp);
-        let l = (lp + lc).saturating_sub(d) / 2;
+        debug_assert_eq!(parent.len(), self.shape.types().dewey_len(parent_type));
         let prefix = parent.prefix(l);
         let mut key = Vec::with_capacity(4 + prefix.len() * 4);
         key.extend_from_slice(&child_type.0.to_be_bytes());
         key.extend_from_slice(&prefix.encode());
         let _gate = self.shared.gate.read().unwrap();
-        self.typeseq
-            .scan_prefix(&key)
-            .filter_map(|(k, v)| {
-                let dewey = Dewey::decode(k.get(4..)?)?;
-                let text = String::from_utf8(v).ok()?;
-                Some((dewey, text))
-            })
-            .collect()
+        typeseq_rows(&self.typeseq, &key)
     }
 }
 
@@ -3013,9 +2789,10 @@ mod tests {
         let title = ty(&doc, "data.book.title");
         let publisher = ty(&doc, "data.book.publisher");
         let pub_name = ty(&doc, "data.book.publisher.name");
-        assert_eq!(doc.type_distance_exact(title, publisher), Some(2));
-        assert_eq!(doc.type_distance_exact(title, pub_name), Some(3));
-        assert_eq!(doc.type_distance_exact(title, title), Some(0));
+        let snap = doc.snapshot();
+        assert_eq!(snap.type_distance_exact(title, publisher), Some(2));
+        assert_eq!(snap.type_distance_exact(title, pub_name), Some(3));
+        assert_eq!(snap.type_distance_exact(title, title), Some(0));
     }
 
     #[test]
@@ -3025,7 +2802,7 @@ mod tests {
             shredded("<data><book><author>a</author></book><book><editor>e</editor></book></data>");
         let author = ty(&doc, "data.book.author");
         let editor = ty(&doc, "data.book.editor");
-        assert_eq!(doc.type_distance_exact(author, editor), Some(4));
+        assert_eq!(doc.snapshot().type_distance_exact(author, editor), Some(4));
     }
 
     #[test]
@@ -3033,7 +2810,7 @@ mod tests {
         let doc = shredded(FIG1A);
         let book = ty(&doc, "data.book");
         let pub_name = ty(&doc, "data.book.publisher.name");
-        assert_eq!(doc.type_distance_exact(book, pub_name), Some(2));
+        assert_eq!(doc.snapshot().type_distance_exact(book, pub_name), Some(2));
     }
 
     #[test]
@@ -3043,7 +2820,9 @@ mod tests {
         let doc = shredded(FIG1A);
         let publisher = ty(&doc, "data.book.publisher");
         let title = ty(&doc, "data.book.title");
-        let joined = doc.closest_children(&"1.1.3".parse().unwrap(), publisher, title);
+        let joined = doc
+            .snapshot()
+            .closest_children(&"1.1.3".parse().unwrap(), publisher, title);
         assert_eq!(joined.len(), 1);
         assert_eq!(joined[0].0.to_string(), "1.1.1");
         assert_eq!(joined[0].1, "X");
@@ -3055,7 +2834,9 @@ mod tests {
         let doc = shredded(FIG1A);
         let author = ty(&doc, "data.book.author");
         let name = ty(&doc, "data.book.author.name");
-        let joined = doc.closest_children(&"1.1.2".parse().unwrap(), author, name);
+        let joined = doc
+            .snapshot()
+            .closest_children(&"1.1.2".parse().unwrap(), author, name);
         assert_eq!(joined.len(), 1);
         assert_eq!(joined[0].0.to_string(), "1.1.2.1");
     }
@@ -3066,7 +2847,9 @@ mod tests {
         let doc = shredded(FIG1A);
         let title = ty(&doc, "data.book.title");
         let author = ty(&doc, "data.book.author");
-        let joined = doc.closest_children(&"1.1.1".parse().unwrap(), title, author);
+        let joined = doc
+            .snapshot()
+            .closest_children(&"1.1.1".parse().unwrap(), title, author);
         assert_eq!(joined.len(), 1);
         assert_eq!(joined[0].0.to_string(), "1.1.2");
     }
@@ -3102,8 +2885,9 @@ mod tests {
         );
         let book = ty(&doc, "d.book");
         let award = ty(&doc, "d.book.award");
-        assert!(doc.has_closest_child(&"1.1".parse().unwrap(), book, award));
-        assert!(!doc.has_closest_child(&"1.2".parse().unwrap(), book, award));
+        let snap = doc.snapshot();
+        assert!(snap.has_closest_child(&"1.1".parse().unwrap(), book, award));
+        assert!(!snap.has_closest_child(&"1.2".parse().unwrap(), book, award));
     }
 
     #[test]
@@ -3157,21 +2941,22 @@ mod tests {
     #[test]
     fn columnar_matches_btree_reference() {
         let doc = shredded(FIG1A);
+        let snap = doc.snapshot();
         let types: Vec<TypeId> = doc.types().ids().collect();
         for &t in &types {
-            assert_eq!(doc.scan_type(t), doc.scan_type_btree(t), "scan {t:?}");
+            assert_eq!(snap.scan_type(t), doc.scan_type_btree(t), "scan {t:?}");
         }
         for &a in &types {
             for &b in &types {
                 assert_eq!(
-                    doc.type_distance_exact(a, b),
+                    snap.type_distance_exact(a, b),
                     doc.type_distance_btree(a, b),
                     "distance {a:?} {b:?}"
                 );
-                for (parent, _) in doc.scan_type(a) {
+                for (parent, _) in snap.scan_type(a) {
                     assert_eq!(
-                        doc.closest_children(&parent, a, b),
-                        doc.closest_children_btree(&parent, a, b),
+                        snap.closest_children(&parent, a, b),
+                        snap.closest_children_btree(&parent, a, b),
                         "join {parent} {a:?} {b:?}"
                     );
                 }
@@ -3184,42 +2969,45 @@ mod tests {
         let doc = shredded(FIG1A);
         let publisher = ty(&doc, "data.book.publisher");
         let title = ty(&doc, "data.book.title");
-        let mut cursor = doc.closest_cursor(publisher, title).unwrap();
-        for (parent, _) in doc.scan_type(publisher) {
+        let snap = doc.snapshot();
+        let mut cursor = snap.closest_cursor(publisher, title).unwrap();
+        for (parent, _) in snap.scan_type(publisher) {
             let range = cursor.group_for(&parent);
             let col = cursor.column().clone();
             let got: Vec<(Dewey, String)> = range
                 .map(|i| (col.dewey(i), col.text(i).to_string()))
                 .collect();
-            assert_eq!(got, doc.closest_children(&parent, publisher, title));
+            assert_eq!(got, snap.closest_children(&parent, publisher, title));
         }
     }
 
     #[test]
     fn batched_groups_match_direct_joins() {
         let doc = shredded(FIG1A);
-        let types: Vec<TypeId> = doc.types().ids().collect();
+        let snap = doc.snapshot();
+        let types: Vec<TypeId> = snap.types().ids().collect();
         for &a in &types {
-            let parents: Vec<Dewey> = doc.scan_type(a).into_iter().map(|(d, _)| d).collect();
+            let parents: Vec<Dewey> = snap.scan_type(a).into_iter().map(|(d, _)| d).collect();
             for &b in &types {
-                let batch = doc.closest_children_batch(&parents, a, b);
+                let batch = snap.closest_children_batch(&parents, a, b);
                 match batch {
                     None => {
                         for p in &parents {
-                            assert!(doc.closest_group(p, a, b).is_none());
+                            assert!(snap.closest_group(p, a, b).is_none());
                         }
                     }
                     Some((col, ranges)) => {
                         assert_eq!(ranges.len(), parents.len());
                         for (p, r) in parents.iter().zip(&ranges) {
-                            let (scol, sr) = doc.closest_group(p, a, b).unwrap();
+                            let (scol, sr) = snap.closest_group(p, a, b).unwrap();
                             assert_eq!(*r, sr, "batch group for {p} under {a:?}->{b:?}");
                             assert_eq!(*col, *scol);
                         }
                         // Row-range form agrees with the Dewey form.
-                        let pcol = doc.column(a);
-                        let (_, rranges) =
-                            doc.closest_group_batch(&pcol, 0..pcol.len(), a, b).unwrap();
+                        let pcol = snap.column(a);
+                        let (_, rranges) = snap
+                            .closest_group_batch(&pcol, 0..pcol.len(), a, b)
+                            .unwrap();
                         assert_eq!(rranges, ranges);
                     }
                 }
@@ -3494,6 +3282,19 @@ mod tests {
             "corruption should be recorded"
         );
         drop((doc, store));
+        // A query reads through a snapshot, never the document's cache:
+        // a load the snapshot triggers must be recorded and counted too.
+        let store = Store::open(&path).unwrap();
+        let doc = ShreddedDoc::open(&store).unwrap();
+        let snap = doc.snapshot();
+        assert_eq!(snap.scan_type(t), doc.scan_type_btree(t));
+        assert!(
+            !doc.segment_fallbacks().is_empty(),
+            "a snapshot's fallback should be recorded on the document"
+        );
+        assert_eq!(doc.maintenance_stats().column_rebuilds, 1);
+        assert!(doc.columns.read().unwrap().is_empty(), "cache untouched");
+        drop((snap, doc, store));
         std::fs::remove_file(&path).ok();
     }
 
@@ -3568,32 +3369,45 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_joins_match_document_joins_at_same_epoch() {
+    fn snapshot_joins_match_btree_references_after_writes() {
         let store = Store::in_memory();
         let mut doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap();
+        // The references rescan the trees on every call, so they answer
+        // what a freshly shredded document would.
+        let check = |doc: &ShreddedDoc| {
+            let snap = doc.snapshot();
+            let types: Vec<TypeId> = snap.types().ids().collect();
+            for &a in &types {
+                let parents: Vec<Dewey> = snap.scan_type(a).into_iter().map(|(p, _)| p).collect();
+                for &b in &types {
+                    assert_eq!(
+                        snap.type_distance_exact(a, b),
+                        doc.type_distance_btree(a, b),
+                        "distance {a:?}->{b:?}"
+                    );
+                    let want: Vec<Vec<(Dewey, String)>> = parents
+                        .iter()
+                        .map(|p| snap.closest_children_btree(p, a, b))
+                        .collect();
+                    for (p, w) in parents.iter().zip(&want) {
+                        assert_eq!(&snap.closest_children(p, a, b), w, "join {p} {a:?}->{b:?}");
+                    }
+                    let batch = match snap.closest_children_batch(&parents, a, b) {
+                        Some((col, ranges)) => ranges.into_iter().map(|r| col.rows(r)).collect(),
+                        None => vec![Vec::new(); parents.len()],
+                    };
+                    assert_eq!(batch, want, "batch {a:?}->{b:?}");
+                }
+            }
+        };
+        check(&doc);
         doc.insert_subtree(&"1.2".parse().unwrap(), "<award>prize</award>")
             .unwrap();
-        let snap = doc.snapshot();
-        for a in doc.types().ids().collect::<Vec<_>>() {
-            for b in doc.types().ids().collect::<Vec<_>>() {
-                assert_eq!(
-                    snap.type_distance_exact(a, b),
-                    doc.type_distance_exact(a, b),
-                    "distance {a:?}->{b:?}"
-                );
-                let parents: Vec<Dewey> = doc.scan_type(a).into_iter().map(|(p, _)| p).collect();
-                for p in &parents {
-                    assert_eq!(
-                        snap.closest_children(p, a, b),
-                        doc.closest_children(p, a, b),
-                        "join {p} {a:?}->{b:?}"
-                    );
-                }
-                let snap_batch = snap.closest_children_batch(&parents, a, b).map(|(_, r)| r);
-                let doc_batch = doc.closest_children_batch(&parents, a, b).map(|(_, r)| r);
-                assert_eq!(snap_batch, doc_batch, "batch {a:?}->{b:?}");
-            }
-        }
+        check(&doc);
+        doc.delete_subtree(&"1.1.3".parse().unwrap()).unwrap();
+        check(&doc);
+        doc.update_text(&"1.2.1".parse().unwrap(), "Z").unwrap();
+        check(&doc);
     }
 
     #[test]
@@ -3618,25 +3432,6 @@ mod tests {
                 .collect::<Vec<_>>(),
             ["X", "Y"]
         );
-    }
-
-    #[test]
-    fn scoped_cache_invalidation_keeps_disjoint_pairs() {
-        let store = Store::in_memory();
-        let mut doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap();
-        let title = ty(&doc, "data.book.title");
-        let book = ty(&doc, "data.book");
-        let pub_name = ty(&doc, "data.book.publisher.name");
-        let publisher = ty(&doc, "data.book.publisher");
-        // Warm both pairs, then mutate only the title.
-        assert_eq!(doc.type_distance_exact(book, title), Some(1));
-        assert_eq!(doc.type_distance_exact(publisher, pub_name), Some(1));
-        doc.update_text(&"1.1.1".parse().unwrap(), "Z").unwrap();
-        // Disjoint pair survives; pairs touching `title` recompute and
-        // still agree with a fresh document.
-        assert_eq!(doc.type_distance_exact(publisher, pub_name), Some(1));
-        assert_eq!(doc.type_distance_exact(book, title), Some(1));
-        assert!(doc.has_closest_child(&"1.1".parse().unwrap(), book, title));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The columnar read path must agree *exactly* with the B+tree-backed
-//! reference implementations it replaced, on random documents:
+//! The columnar read path — every query-time read runs on a pinned
+//! `Snapshot` — must agree *exactly* with the B+tree-backed reference
+//! implementations it replaced, on random documents:
 //!
 //! * `scan_type` (column walk) ≡ `scan_type_btree` (prefix scan);
 //! * `type_distance_exact` (columnar sorted-merge co-occurrence) ≡
@@ -72,22 +73,23 @@ proptest! {
     #[test]
     fn columnar_operations_match_btree_reference(xml in random_library()) {
         let (_s, doc) = shred(&xml);
+        let snap = doc.snapshot();
         let types: Vec<TypeId> = doc.types().ids().collect();
         for &t in &types {
-            prop_assert_eq!(doc.scan_type(t), doc.scan_type_btree(t));
+            prop_assert_eq!(snap.scan_type(t), doc.scan_type_btree(t));
         }
         for &a in &types {
             for &b in &types {
                 prop_assert_eq!(
-                    doc.type_distance_exact(a, b),
+                    snap.type_distance_exact(a, b),
                     doc.type_distance_btree(a, b),
                     "typeDistance({:?}, {:?})", a, b
                 );
-                for (parent, _) in doc.scan_type(a) {
-                    let columnar = doc.closest_children(&parent, a, b);
-                    let btree = doc.closest_children_btree(&parent, a, b);
+                for (parent, _) in snap.scan_type(a) {
+                    let columnar = snap.closest_children(&parent, a, b);
+                    let btree = snap.closest_children_btree(&parent, a, b);
                     prop_assert_eq!(
-                        doc.has_closest_child(&parent, a, b),
+                        snap.has_closest_child(&parent, a, b),
                         !btree.is_empty(),
                         "existence probe at {}", parent
                     );
@@ -113,6 +115,7 @@ proptest! {
             prop_assert_eq!(bulk.scan_type(t), incremental.scan_type(t));
             prop_assert_eq!(bulk.instance_count(t), incremental.instance_count(t));
         }
+        let (bulk, incremental) = (bulk.snapshot(), incremental.snapshot());
         for &a in &types {
             for &b in &types {
                 prop_assert_eq!(
@@ -146,16 +149,17 @@ proptest! {
         for &t in &types {
             prop_assert_eq!(persisted.scan_type(t), rebuilt.scan_type(t));
         }
+        let (persisted_snap, rebuilt_snap) = (persisted.snapshot(), rebuilt.snapshot());
         for &a in &types {
             for &b in &types {
                 prop_assert_eq!(
-                    persisted.type_distance_exact(a, b),
-                    rebuilt.type_distance_exact(a, b)
+                    persisted_snap.type_distance_exact(a, b),
+                    rebuilt_snap.type_distance_exact(a, b)
                 );
-                for (parent, _) in persisted.scan_type(a) {
+                for (parent, _) in persisted_snap.scan_type(a) {
                     prop_assert_eq!(
-                        persisted.closest_children(&parent, a, b),
-                        rebuilt.closest_children(&parent, a, b),
+                        persisted_snap.closest_children(&parent, a, b),
+                        rebuilt_snap.closest_children(&parent, a, b),
                         "join at {}", parent
                     );
                 }
@@ -546,6 +550,7 @@ proptest! {
 /// pair among the densest types (densest = most parents, i.e. the
 /// probes the batch kernel actually amortizes).
 fn assert_batch_matches_scalar(doc: &ShreddedDoc, label: &str) {
+    let snap = doc.snapshot();
     let mut types: Vec<TypeId> = doc
         .types()
         .ids()
@@ -555,12 +560,12 @@ fn assert_batch_matches_scalar(doc: &ShreddedDoc, label: &str) {
     types.truncate(12);
     let mut related = 0usize;
     for &a in &types {
-        let parents: Vec<_> = doc.scan_type(a).into_iter().map(|(d, _)| d).collect();
+        let parents: Vec<_> = snap.scan_type(a).into_iter().map(|(d, _)| d).collect();
         for &b in &types {
-            let Some((col, ranges)) = doc.closest_children_batch(&parents, a, b) else {
+            let Some((col, ranges)) = snap.closest_children_batch(&parents, a, b) else {
                 for p in &parents {
                     assert!(
-                        doc.closest_group(p, a, b).is_none(),
+                        snap.closest_group(p, a, b).is_none(),
                         "{label}: scalar finds a group batch denies at {p}"
                     );
                 }
@@ -569,7 +574,7 @@ fn assert_batch_matches_scalar(doc: &ShreddedDoc, label: &str) {
             related += 1;
             assert_eq!(ranges.len(), parents.len());
             for (p, r) in parents.iter().zip(&ranges) {
-                let (scol, want) = doc.closest_group(p, a, b).unwrap();
+                let (scol, want) = snap.closest_group(p, a, b).unwrap();
                 assert_eq!(r.clone(), want, "{label}: group at {p} for {a:?}->{b:?}");
                 assert_eq!(*col, *scol, "{label}: column identity for {a:?}->{b:?}");
                 // And the materialized form agrees with the reference.
@@ -579,7 +584,7 @@ fn assert_batch_matches_scalar(doc: &ShreddedDoc, label: &str) {
                     .collect();
                 assert_eq!(
                     materialized,
-                    doc.closest_children(p, a, b),
+                    snap.closest_children(p, a, b),
                     "{label}: children at {p}"
                 );
             }

@@ -388,12 +388,6 @@ impl Store {
         self.pool.io_snapshot()
     }
 
-    /// Former name of [`Store::io_stats_snapshot`].
-    #[doc(hidden)]
-    pub fn io_snapshot(&self) -> IoSnapshot {
-        self.io_stats_snapshot()
-    }
-
     /// Write back dirty pages and sync the device. On a WAL-backed
     /// store this also drains the pending group-commit batch and
     /// checkpoints (truncates) the log. Blocks while a transaction is
@@ -1088,7 +1082,7 @@ mod tests {
             t.insert(&i.to_be_bytes(), &[0u8; 100]).unwrap();
         }
         store.flush().unwrap();
-        let snap = store.io_snapshot();
+        let snap = store.io_stats_snapshot();
         assert!(
             snap.blocks_written > 10,
             "expected real write traffic: {snap:?}"

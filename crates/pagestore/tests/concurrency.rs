@@ -146,7 +146,7 @@ fn eviction_under_contention_loses_no_writes() {
             assert_eq!(tree.len().unwrap(), KEYS_PER_WRITER as usize);
         }
         store.flush().unwrap();
-        let snap = store.io_snapshot();
+        let snap = store.io_stats_snapshot();
         assert!(
             snap.blocks_written > 100,
             "expected heavy write-back traffic, got {snap:?}"

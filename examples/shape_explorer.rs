@@ -44,13 +44,14 @@ fn main() {
         .find(|&t| types.dotted(t).contains("person"))
         .expect("person name type");
     let interest = types.matching("interest")[0];
+    let snap = doc.snapshot();
     println!(
         "typeDistance(person, person.name) = {:?}",
-        doc.type_distance_exact(person, name)
+        snap.type_distance_exact(person, name)
     );
     println!(
         "typeDistance(person, profile.interest) = {:?}",
-        doc.type_distance_exact(person, interest)
+        snap.type_distance_exact(person, interest)
     );
 
     // The materialized closest graph of a small fragment (Def. 1). The

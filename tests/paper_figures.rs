@@ -205,14 +205,15 @@ fn section7_closest_joins() {
     let name = types.matching("author.name")[0];
     let book = types.matching("book")[0];
     let title = types.matching("title")[0];
+    let snap = doc.snapshot();
 
     // Join 1: authors {1.1.2, 1.2.2} with names.
-    let j1 = doc.closest_children(&"1.1.2".parse().unwrap(), author, name);
+    let j1 = snap.closest_children(&"1.1.2".parse().unwrap(), author, name);
     assert_eq!(j1[0].0.to_string(), "1.1.2.1");
     // Join 2: authors with books (upward join).
-    let j2 = doc.closest_children(&"1.1.2".parse().unwrap(), author, book);
+    let j2 = snap.closest_children(&"1.1.2".parse().unwrap(), author, book);
     assert_eq!(j2[0].0.to_string(), "1.1");
     // Join 3: books with titles.
-    let j3 = doc.closest_children(&"1.1".parse().unwrap(), book, title);
+    let j3 = snap.closest_children(&"1.1".parse().unwrap(), book, title);
     assert_eq!(j3[0].0.to_string(), "1.1.1");
 }

@@ -2,7 +2,7 @@
 //! renderer on every benchmark dataset — the correctness half of the
 //! scaling experiment (`fig_scaling`).
 
-use xmorph_core::{apply_parallel, Guard, ParallelOptions, ShreddedDoc};
+use xmorph_core::{render_parallel, Guard, ParallelOptions, ShreddedDoc};
 use xmorph_datagen::{DblpConfig, NasaConfig, XmarkConfig};
 use xmorph_pagestore::Store;
 
@@ -16,9 +16,10 @@ fn assert_byte_identical(doc: &ShreddedDoc, guards: &[&str]) {
     for guard_src in guards {
         let guard = Guard::parse(guard_src).unwrap();
         let sequential = guard.apply(doc).unwrap().xml;
+        let target = guard.analyze(doc).unwrap().target;
         for threads in [1, 2, 4] {
             let opts = ParallelOptions::with_threads(threads);
-            let parallel = apply_parallel(&guard, doc, &opts).unwrap().xml;
+            let parallel = render_parallel(doc, &target, &opts).unwrap();
             assert_eq!(
                 parallel, sequential,
                 "parallel output diverged: guard={guard_src} threads={threads}"
