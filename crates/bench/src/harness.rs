@@ -1,6 +1,5 @@
 //! Shared experiment drivers: each §IX experiment as a reusable function
-//! so the figure binaries and the criterion benches measure the same code
-//! paths.
+//! so the figure binaries measure the same code paths.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -13,7 +12,7 @@ use xmorph_xqlite::XqliteDb;
 /// Where an experiment's store lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreKind {
-    /// In memory — pure CPU cost, used by criterion micro runs.
+    /// In memory — pure CPU cost, for micro measurements.
     Memory,
     /// A temp file — real device I/O, used by the figure binaries.
     TempFile,

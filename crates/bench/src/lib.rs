@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness regenerating every table and figure of the
 //! XMorph 2.0 evaluation (§IX). Each figure has a binary in `src/bin`
-//! printing the paper's rows/series, and criterion benches in `benches/`
-//! reuse the same drivers at reduced scale:
+//! printing the paper's rows/series; most take `--scale`/`--smoke` for
+//! reduced-scale runs:
 //!
 //! | Regenerator | Paper artifact |
 //! |---|---|

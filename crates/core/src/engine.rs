@@ -276,10 +276,11 @@ impl Engine {
 
     /// Shred a document file straight from disk into `store` without
     /// reading it into memory first: the parser keeps a bounded byte
-    /// window, and with [`ShredOptions::memory_budget`] set the
-    /// sort/load stage spills runs to temporary store segments instead
-    /// of holding the entry set in memory — documents much larger than
-    /// RAM shred in bounded space.
+    /// window, and the sort/load stage is an external sort that, with
+    /// [`ShredOptions::memory_budget`] set, spills runs to temporary
+    /// store segments instead of holding the entry set in memory —
+    /// documents much larger than RAM shred in bounded space. Unset, the
+    /// budget is unbounded and nothing spills.
     pub fn shred_path(store: Store, path: &Path, opts: &ShredOptions) -> MorphResult<Engine> {
         let doc = ShreddedDoc::shred_file_with(&store, path, opts)?;
         Ok(Engine::from_parts(store, doc))

@@ -83,7 +83,7 @@ pub use semantics::parallel::{render_parallel, render_parallel_snapshot, Paralle
 pub use store::mutate::MaintenanceStats;
 // Re-exported because [`Mutation`] addresses vertices by Dewey number.
 pub use store::shredded::{
-    ColumnBytes, OpenOptions, Preload, ShredOptions, ShreddedDoc, Snapshot, TypeColumn,
+    ColumnBytes, OpenOptions, ShredOptions, ShreddedDoc, Snapshot, TypeColumn,
 };
 pub use xmorph_xml::dewey::Dewey;
 

@@ -16,9 +16,10 @@
 //!
 //! Shredding is streaming: one pass over the SAX-style event stream with
 //! O(depth) memory, exactly like the paper's Xerces-based shredder. By
-//! default the collected entries are key-sorted and **bulk-loaded**
-//! bottom-up ([`xmorph_pagestore::store::Tree::bulk_load`]) instead of
-//! inserted one root-to-leaf descent at a time.
+//! default the emitted entries are key-sorted — an external sort that
+//! spills runs only under a [`ShredOptions::memory_budget`] — and
+//! **bulk-loaded** bottom-up ([`xmorph_pagestore::store::Tree::bulk_load`])
+//! instead of inserted one root-to-leaf descent at a time.
 //!
 //! On the read side the hot path never descends the B+tree per probe:
 //! the first touch of a type yields its [`TypeColumn`] — a flat sorted
@@ -96,15 +97,9 @@ pub(in crate::store) type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 ///     .persist_columns(false);
 /// # let _ = opts;
 /// ```
-///
-/// The old public-field struct (and its positional-flag ancestors) is
-/// gone; fields are private so knobs can keep accreting behind the
-/// builder without breaking callers.
 #[derive(Debug, Clone)]
 pub struct ShredOptions {
     bulk_load: bool,
-    fill_factor: f64,
-    eager_columns: bool,
     persist_columns: bool,
     memory_budget: Option<usize>,
 }
@@ -113,8 +108,6 @@ impl Default for ShredOptions {
     fn default() -> Self {
         ShredOptions {
             bulk_load: true,
-            fill_factor: DEFAULT_FILL,
-            eager_columns: false,
             persist_columns: true,
             memory_budget: None,
         }
@@ -122,7 +115,7 @@ impl Default for ShredOptions {
 }
 
 impl ShredOptions {
-    /// Start from the defaults (bulk-loaded trees, lazy columns,
+    /// Start from the defaults (bulk-loaded trees, no memory budget,
     /// columns persisted on file-backed stores).
     pub fn builder() -> ShredOptions {
         ShredOptions::default()
@@ -132,71 +125,46 @@ impl ShredOptions {
     /// the B+tree bulk loader (bottom-up leaf packing) instead of one
     /// root-to-leaf insert per entry. `false` keeps the original
     /// incremental path — the before/after baseline of the `fig_joins`
-    /// benchmark. Default: `true`.
+    /// benchmark and the reference the bulk path is tested against.
+    /// Default: `true`.
     pub fn bulk_load(mut self, on: bool) -> Self {
         self.bulk_load = on;
-        self
-    }
-
-    /// Leaf/interior fill factor handed to the bulk loader (clamped to
-    /// `[0.5, 1.0]`). Default: [`xmorph_pagestore::DEFAULT_FILL`].
-    pub fn fill_factor(mut self, fill: f64) -> Self {
-        self.fill_factor = fill;
-        self
-    }
-
-    /// Decode every type's [`TypeColumn`] eagerly right after shredding
-    /// instead of lazily on first touch. Default: `false`.
-    pub fn eager_columns(mut self, on: bool) -> Self {
-        self.eager_columns = on;
         self
     }
 
     /// Persist the built columns as on-disk segments so a later
     /// [`ShreddedDoc::open`] maps them instead of re-decoding `typeseq`.
     /// Only effective on file-backed stores (an in-memory store has no
-    /// cold reopen to accelerate). Default: `true`.
+    /// cold reopen to accelerate). The bulk shred writes each segment
+    /// straight from its merge and leaves no column decoded; the first
+    /// touch loads it from the segment, as after a reopen. Default:
+    /// `true`.
     pub fn persist_columns(mut self, on: bool) -> Self {
         self.persist_columns = on;
         self
     }
 
-    /// Cap, in bytes, on the shredder's working memory (bulk path
-    /// only). With a budget set, entry pairs accumulate in fixed-size
-    /// run buffers that are sorted and spilled to temporary store
-    /// segments as they fill, then k-way merged straight into the
-    /// B+tree bulk loader — so documents far larger than memory shred
-    /// without ever materializing the sorted entry set. `None` (the
-    /// default) keeps the all-in-memory sort, which is fastest when the
-    /// document comfortably fits.
+    /// Cap, in bytes, on the bulk shredder's working memory. Entry
+    /// pairs accumulate in run buffers that are sorted and spilled to
+    /// temporary store segments as they fill, then k-way merged
+    /// straight into the B+tree bulk loader — so documents far larger
+    /// than memory shred without ever materializing the sorted entry
+    /// set. Unset (the default), the budget is unbounded: nothing
+    /// spills and each tree loads from its one sorted in-memory run.
     pub fn memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = Some(bytes);
         self
     }
 }
 
-/// Which columns [`ShreddedDoc::open_with`] touches up front.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum Preload {
-    /// Load nothing; every column loads on first touch.
-    #[default]
-    None,
-    /// Load every type's column before `open_with` returns.
-    All,
-    /// Load the types named by these dotted paths (e.g.
-    /// `"data.book.title"`); unknown paths are ignored.
-    Paths(Vec<String>),
-}
-
 /// Open-time knobs for an already-shredded store, built fluently:
 ///
 /// ```
-/// use xmorph_core::{OpenOptions, Preload};
+/// use xmorph_core::OpenOptions;
 ///
 /// let opts = OpenOptions::builder()
 ///     .mmap(false)
-///     .column_budget(64 << 20)
-///     .preload(Preload::All);
+///     .column_budget(64 << 20);
 /// # let _ = opts;
 /// ```
 #[derive(Debug, Clone)]
@@ -204,7 +172,6 @@ pub struct OpenOptions {
     persisted_columns: bool,
     mmap: bool,
     column_budget: Option<usize>,
-    preload: Preload,
 }
 
 impl Default for OpenOptions {
@@ -213,14 +180,13 @@ impl Default for OpenOptions {
             persisted_columns: true,
             mmap: true,
             column_budget: None,
-            preload: Preload::None,
         }
     }
 }
 
 impl OpenOptions {
     /// Start from the defaults (persisted columns used, mmap preferred,
-    /// no budget, no preload).
+    /// no budget).
     pub fn builder() -> OpenOptions {
         OpenOptions::default()
     }
@@ -246,13 +212,6 @@ impl OpenOptions {
     /// always stays). Default: unbounded.
     pub fn column_budget(mut self, bytes: usize) -> Self {
         self.column_budget = Some(bytes);
-        self
-    }
-
-    /// Columns to load before `open_with` returns. Default:
-    /// [`Preload::None`].
-    pub fn preload(mut self, preload: Preload) -> Self {
-        self.preload = preload;
         self
     }
 }
@@ -1110,9 +1069,9 @@ fn typeseq_rows(typeseq: &Tree, prefix: &[u8]) -> Vec<(Dewey, String)> {
 // ---- streaming shred machinery (external sort over store segments) ----
 
 /// Name prefix of the temporary segments the external sort spills
-/// sorted runs into. They exist only for the duration of one streaming
+/// sorted runs into. They exist only for the duration of one bulk
 /// shred; [`RunGuard`] deletes them on both the success and the abort
-/// path, and a fresh shred clears any a crash left behind.
+/// path, and every shred first clears any a crash left behind.
 const RUN_SEG_PREFIX: &str = "__shredrun.";
 
 /// Per-entry bookkeeping overhead charged against the run budget: two
@@ -1120,8 +1079,8 @@ const RUN_SEG_PREFIX: &str = "__shredrun.";
 const RUN_ENTRY_OVERHEAD: usize = 48;
 
 /// Deletes every registered spill segment when dropped — after the
-/// merge on success, and on any abort path, so a failed streaming
-/// shred never leaks `__shredrun.*` segments.
+/// merge on success, and on any abort path, so a failed bulk shred
+/// never leaks `__shredrun.*` segments.
 struct RunGuard<'a> {
     store: &'a Store,
     names: RefCell<Vec<String>>,
@@ -1165,6 +1124,7 @@ impl<'a> RunSpiller<'a> {
         }
     }
 
+    #[inline]
     fn push(&mut self, key: Vec<u8>, value: Vec<u8>) -> MorphResult<()> {
         self.bytes += key.len() + value.len() + RUN_ENTRY_OVERHEAD;
         self.count += 1;
@@ -1175,6 +1135,10 @@ impl<'a> RunSpiller<'a> {
         Ok(())
     }
 
+    // Kept out of `push`'s inlined per-entry path: the default,
+    // unbounded budget never spills.
+    #[cold]
+    #[inline(never)]
     fn spill(&mut self) -> MorphResult<()> {
         if self.entries.is_empty() {
             return Ok(());
@@ -1203,9 +1167,17 @@ impl<'a> RunSpiller<'a> {
     /// (read-only, page-aligned — not heap on a file-backed store),
     /// and return the k-way merge cursor. `produced` counts the pairs
     /// the merge yields so the caller can verify none were lost to a
-    /// torn run.
+    /// torn run. When nothing spilled, the sorted tail is the whole
+    /// stream and no heap is built.
     fn into_merge(mut self, produced: &Cell<u64>) -> MorphResult<MergeStream<'_>> {
         self.entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let tail = std::mem::take(&mut self.entries).into_iter();
+        if self.runs.is_empty() {
+            return Ok(MergeStream {
+                merge: Merge::Tail(tail),
+                produced,
+            });
+        }
         let mut sources = Vec::with_capacity(self.runs.len() + 1);
         for name in &self.runs {
             let data = self
@@ -1215,17 +1187,14 @@ impl<'a> RunSpiller<'a> {
                 .ok_or(MorphError::Internal("shred run segment vanished"))?;
             sources.push(RunSource::Seg { data, pos: 0 });
         }
-        sources.push(RunSource::Mem {
-            iter: std::mem::take(&mut self.entries).into_iter(),
-        });
+        sources.push(RunSource::Mem { iter: tail });
         let heap = sources
             .iter_mut()
             .enumerate()
             .filter_map(|(i, s)| s.next().map(|(k, v)| std::cmp::Reverse((k, v, i))))
             .collect();
         Ok(MergeStream {
-            sources,
-            heap,
+            merge: Merge::Runs { sources, heap },
             produced,
         })
     }
@@ -1274,25 +1243,42 @@ impl RunSource {
 /// are unique across runs, so tuple order never reaches the index.
 type MergeHead = std::cmp::Reverse<(Vec<u8>, Vec<u8>, usize)>;
 
-/// K-way merge over sorted runs. A min-heap of run heads keeps each
-/// pop at O(log k) key comparisons, so the merge stays cheap even when
-/// an out-of-core document spills hundreds of runs.
+/// The sorted stream one [`RunSpiller`] hands the bulk loader.
 struct MergeStream<'p> {
-    sources: Vec<RunSource>,
-    heap: std::collections::BinaryHeap<MergeHead>,
+    merge: Merge,
     produced: &'p Cell<u64>,
+}
+
+enum Merge {
+    /// Nothing spilled (always the case under an unbounded budget):
+    /// the sorted in-memory tail is the whole stream.
+    Tail(std::vec::IntoIter<(Vec<u8>, Vec<u8>)>),
+    /// K-way merge over spilled runs and the tail. A min-heap of run
+    /// heads keeps each pop at O(log k) key comparisons, so the merge
+    /// stays cheap even when an out-of-core document spills hundreds
+    /// of runs.
+    Runs {
+        sources: Vec<RunSource>,
+        heap: std::collections::BinaryHeap<MergeHead>,
+    },
 }
 
 impl Iterator for MergeStream<'_> {
     type Item = (Vec<u8>, Vec<u8>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let std::cmp::Reverse((k, v, i)) = self.heap.pop()?;
-        if let Some((nk, nv)) = self.sources[i].next() {
-            self.heap.push(std::cmp::Reverse((nk, nv, i)));
-        }
+        let pair = match &mut self.merge {
+            Merge::Tail(tail) => tail.next()?,
+            Merge::Runs { sources, heap } => {
+                let std::cmp::Reverse((k, v, i)) = heap.pop()?;
+                if let Some((nk, nv)) = sources[i].next() {
+                    heap.push(std::cmp::Reverse((nk, nv, i)));
+                }
+                (k, v)
+            }
+        };
         self.produced.set(self.produced.get() + 1);
-        Some((k, v))
+        Some(pair)
     }
 }
 
@@ -1320,7 +1306,8 @@ struct ColBuild {
 /// its malformed-entry skips), so the persisted bytes are identical to
 /// what a post-shred decode would produce. A column that outgrows
 /// `cap` is abandoned mid-build and recorded for a bounded per-type
-/// fallback after the merge.
+/// fallback after the merge. Only a shred that persists columns runs
+/// the tee.
 struct ColumnTee<'a, I> {
     inner: I,
     cur: Option<ColBuild>,
@@ -1328,7 +1315,6 @@ struct ColumnTee<'a, I> {
     store: &'a Store,
     types: &'a TypeTable,
     generation: u64,
-    persist: bool,
     cap: usize,
 }
 
@@ -1337,9 +1323,6 @@ impl<I> ColumnTee<'_, I> {
         let Some(b) = self.cur.take() else { return };
         if b.dropped {
             self.state.borrow_mut().overflowed.push(b.t);
-            return;
-        }
-        if !self.persist {
             return;
         }
         let col = TypeColumn::from_parts(b.width, b.comps, b.offsets, b.texts);
@@ -1587,18 +1570,24 @@ impl ShreddedDoc {
     }
 
     /// The single entry point the string/reader/file fronts funnel
-    /// into: pick the load strategy from the options.
+    /// into: pick the load pipeline from the options.
     fn shred_events_with<E: EventSource>(
         store: &Store,
         reader: &mut E,
         opts: &ShredOptions,
     ) -> MorphResult<ShreddedDoc> {
-        if !opts.bulk_load {
-            Self::shred_incremental(store, reader, opts)
-        } else if let Some(budget) = opts.memory_budget {
-            Self::shred_bulk_streaming(store, reader, opts, budget)
+        // A crashed earlier shred may have left spill runs behind; clear
+        // them so their names are free and their pages reclaimed.
+        for (name, _) in store.segment_entries().in_op("list segments")? {
+            if name.starts_with(RUN_SEG_PREFIX) {
+                store.delete_segment(&name).in_op("drop stale shred run")?;
+            }
+        }
+        if opts.bulk_load {
+            let budget = opts.memory_budget.unwrap_or(usize::MAX);
+            Self::shred_bulk(store, reader, opts.persist_columns, budget)
         } else {
-            Self::shred_bulk_in_memory(store, reader, opts)
+            Self::shred_incremental(store, reader, opts.persist_columns)
         }
     }
 
@@ -1609,7 +1598,7 @@ impl ShreddedDoc {
     fn shred_incremental<E: EventSource>(
         store: &Store,
         reader: &mut E,
-        opts: &ShredOptions,
+        persist_columns: bool,
     ) -> MorphResult<ShreddedDoc> {
         // Trees are opened inside the transaction so a rollback
         // removes their catalog entries along with their pages.
@@ -1638,85 +1627,28 @@ impl ShreddedDoc {
         txn.commit().in_op("commit shred transaction")?;
         let doc = Self::fresh_doc(store, nodes, typeseq, meta, shape, generation);
         // Column persistence flushes, which must wait for the commit.
-        if opts.persist_columns && store.is_persistent() {
+        if persist_columns && store.is_persistent() {
             doc.persist_all_columns()?;
-        }
-        if opts.eager_columns {
-            doc.preload_all();
         }
         Ok(doc)
     }
 
-    /// The all-in-memory bulk path: collect every entry pair, sort
-    /// once, pack both trees bottom-up. Fastest when the document
-    /// comfortably fits; [`ShredOptions::memory_budget`] switches to
-    /// the external sort instead. Trees are opened only after the
-    /// parse succeeds, so a malformed document leaves the store
-    /// untouched.
-    fn shred_bulk_in_memory<E: EventSource>(
+    /// The bulk path, an external sort: entries accumulate in run
+    /// buffers, full runs are sorted and spilled to temporary store
+    /// segments, and a k-way merge feeds the sorted stream straight
+    /// into the bottom-up tree packer — with the `typeseq` pass teed
+    /// through the column builder when columns persist, so their
+    /// segments come out of the same scan. Peak tracked memory is
+    /// proportional to the budget, not the document; an unbounded
+    /// budget never spills, and the merge is the in-memory sort. Trees
+    /// are opened only after the parse succeeds, so a malformed
+    /// document leaves them untouched.
+    fn shred_bulk<E: EventSource>(
         store: &Store,
         reader: &mut E,
-        opts: &ShredOptions,
-    ) -> MorphResult<ShreddedDoc> {
-        let mut builder = AdornedShape::builder();
-        let mut node_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut typeseq_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        drive_parse(
-            reader,
-            &mut builder,
-            |k, v| {
-                node_entries.push((k, v));
-                Ok(())
-            },
-            |k, v| {
-                typeseq_entries.push((k, v));
-                Ok(())
-            },
-        )?;
-        let shape = builder.finish();
-        let nodes = store.open_tree("nodes").in_op("open tree \"nodes\"")?;
-        let typeseq = store.open_tree("typeseq").in_op("open tree \"typeseq\"")?;
-        let meta = store.open_tree("meta").in_op("open tree \"meta\"")?;
-        node_entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        typeseq_entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        nodes
-            .bulk_load(node_entries, opts.fill_factor)
-            .in_op("bulk-load tree \"nodes\"")?;
-        typeseq
-            .bulk_load(typeseq_entries, opts.fill_factor)
-            .in_op("bulk-load tree \"typeseq\"")?;
-        let (generation, stale) = plan_generation(&meta)?;
-        commit_meta(&meta, &shape, generation, &stale)?;
-        let doc = Self::fresh_doc(store, nodes, typeseq, meta, shape, generation);
-        if opts.persist_columns && store.is_persistent() {
-            doc.persist_all_columns()?;
-        }
-        if opts.eager_columns {
-            doc.preload_all();
-        }
-        Ok(doc)
-    }
-
-    /// The external-sort bulk path ([`ShredOptions::memory_budget`]):
-    /// entries accumulate in fixed-size run buffers, full runs are
-    /// sorted and spilled to temporary store segments, and a k-way
-    /// merge feeds the sorted stream straight into the bottom-up tree
-    /// packer — with the `typeseq` pass teed through the column
-    /// builder so persisted segments come out of the same scan. Peak
-    /// tracked memory is proportional to the budget, not the document.
-    fn shred_bulk_streaming<E: EventSource>(
-        store: &Store,
-        reader: &mut E,
-        opts: &ShredOptions,
+        persist_columns: bool,
         budget: usize,
     ) -> MorphResult<ShreddedDoc> {
-        // A crashed earlier shred may have left runs behind; clear
-        // them so their names are free and their pages reclaimed.
-        for (name, _) in store.segment_entries().in_op("list segments")? {
-            if name.starts_with(RUN_SEG_PREFIX) {
-                store.delete_segment(&name).in_op("drop stale shred run")?;
-            }
-        }
         let guard = RunGuard {
             store,
             names: RefCell::new(Vec::new()),
@@ -1742,40 +1674,42 @@ impl ShreddedDoc {
         let typeseq = store.open_tree("typeseq").in_op("open tree \"typeseq\"")?;
         let meta = store.open_tree("meta").in_op("open tree \"meta\"")?;
         // The tee stamps segments with the new generation, so plan it
-        // before the merge; the meta writes land after, in the same
-        // order as the in-memory path.
+        // before the merge; the meta writes land after.
         let (generation, stale) = plan_generation(&meta)?;
 
         let expect_nodes = node_runs.count;
         let produced = Cell::new(0u64);
         let merge = node_runs.into_merge(&produced)?;
         nodes
-            .bulk_load(merge, opts.fill_factor)
+            .bulk_load(merge, DEFAULT_FILL)
             .in_op("bulk-load tree \"nodes\"")?;
         if produced.get() != expect_nodes {
             return Err(MorphError::Internal("shred run lost entries in merge"));
         }
 
-        let persist = opts.persist_columns && store.is_persistent();
+        let persist = persist_columns && store.is_persistent();
         let expect_tyseq = tyseq_runs.count;
         let produced = Cell::new(0u64);
         let state = RefCell::new(TeeState {
             error: None,
             overflowed: Vec::new(),
         });
-        let tee = ColumnTee {
-            inner: tyseq_runs.into_merge(&produced)?,
-            cur: None,
-            state: &state,
-            store,
-            types: shape.types(),
-            generation,
-            persist,
-            cap: per,
-        };
-        typeseq
-            .bulk_load(tee, opts.fill_factor)
-            .in_op("bulk-load tree \"typeseq\"")?;
+        let merge = tyseq_runs.into_merge(&produced)?;
+        if persist {
+            let tee = ColumnTee {
+                inner: merge,
+                cur: None,
+                state: &state,
+                store,
+                types: shape.types(),
+                generation,
+                cap: per,
+            };
+            typeseq.bulk_load(tee, DEFAULT_FILL)
+        } else {
+            typeseq.bulk_load(merge, DEFAULT_FILL)
+        }
+        .in_op("bulk-load tree \"typeseq\"")?;
         if produced.get() != expect_tyseq {
             return Err(MorphError::Internal("shred run lost entries in merge"));
         }
@@ -1799,9 +1733,6 @@ impl ShreddedDoc {
                     .in_op("persist column segment")?;
             }
             store.flush().in_op("flush column segments")?;
-        }
-        if opts.eager_columns {
-            doc.preload_all();
         }
         Ok(doc)
     }
@@ -1857,7 +1788,7 @@ impl ShreddedDoc {
             .unwrap_or(0);
         let tygens = load_tygens(&meta)?;
         let next_gen = generation.max(tygens.values().copied().max().unwrap_or(0)) + 1;
-        let doc = ShreddedDoc {
+        Ok(ShreddedDoc {
             store: store.clone(),
             nodes,
             typeseq,
@@ -1876,20 +1807,7 @@ impl ShreddedDoc {
             epoch: 0,
             shared: DocShared::new(opts.persisted_columns, opts.mmap),
             published: Mutex::new(None),
-        };
-        match &opts.preload {
-            Preload::None => {}
-            Preload::All => doc.preload_all(),
-            Preload::Paths(paths) => {
-                for dotted in paths {
-                    let path: Vec<String> = dotted.split('.').map(str::to_string).collect();
-                    if let Some(t) = doc.shape.types().lookup(&path) {
-                        let _ = doc.column(t);
-                    }
-                }
-            }
-        }
-        Ok(doc)
+        })
     }
 
     /// The document's adorned shape.
@@ -2218,12 +2136,6 @@ impl ShreddedDoc {
         }
         self.store.flush().in_op("flush column segments")?;
         Ok(())
-    }
-
-    fn preload_all(&self) {
-        for t in self.shape.types().ids() {
-            let _ = self.column(t);
-        }
     }
 
     /// Drop every cached column. Heap columns free their arrays; mapped
@@ -2917,7 +2829,9 @@ mod tests {
     fn column_eviction_and_memory_accounting() {
         let doc = shredded(FIG1A);
         assert_eq!(doc.column_bytes().total(), 0);
-        doc.preload_all();
+        for t in doc.types().ids() {
+            let _ = doc.column(t);
+        }
         let bytes = doc.column_bytes();
         assert!(bytes.heap > 0);
         assert_eq!(bytes.mapped, 0, "in-memory store cannot map");
@@ -3089,18 +3003,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn eager_columns_option_preloads() {
-        let store = Store::in_memory();
-        let doc = ShreddedDoc::shred_str_with(
-            &store,
-            FIG1A,
-            &ShredOptions::builder().eager_columns(true),
-        )
-        .unwrap();
-        assert!(doc.column_bytes().total() > 0);
-    }
-
     // ---- persisted column segments ----
 
     #[test]
@@ -3197,28 +3099,6 @@ mod tests {
         let t = ty(&doc, "data.book.title");
         assert!(!doc.column(t).is_mapped());
         assert_eq!(doc.scan_type(t), doc.scan_type_btree(t));
-        drop((doc, store));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn preload_paths_loads_named_types_only() {
-        let path = temp_path("persist-preload.db");
-        {
-            let store = Store::create(&path).unwrap();
-            ShreddedDoc::shred_str(&store, FIG1A).unwrap();
-            store.close().unwrap();
-        }
-        let store = Store::open(&path).unwrap();
-        let doc = ShreddedDoc::open_with(
-            &store,
-            &OpenOptions::builder().preload(Preload::Paths(vec![
-                "data.book.title".to_string(),
-                "no.such.type".to_string(),
-            ])),
-        )
-        .unwrap();
-        assert_eq!(doc.columns.read().unwrap().len(), 1);
         drop((doc, store));
         std::fs::remove_file(&path).ok();
     }
@@ -3460,10 +3340,15 @@ mod tests {
         xml
     }
 
+    /// The incremental shred: the reference the bulk path must match.
+    fn incremental(store: &Store, xml: &str) -> ShreddedDoc {
+        ShreddedDoc::shred_str_with(store, xml, &ShredOptions::builder().bulk_load(false)).unwrap()
+    }
+
     #[test]
     fn streaming_shred_matches_in_memory() {
         let xml = spill_sized_xml();
-        let mem = shredded(&xml);
+        let inc = incremental(&Store::in_memory(), &xml);
         let store = Store::in_memory();
         let opts = ShredOptions::builder().memory_budget(64 * 1024);
         let st = ShreddedDoc::shred_str_with(&store, &xml, &opts).unwrap();
@@ -3474,10 +3359,10 @@ mod tests {
                 d.typeseq.scan_prefix(&[]).collect::<Vec<_>>(),
             )
         };
-        assert_eq!(dump(&mem), dump(&st));
-        let title = ty(&mem, "lib.book.title");
-        assert_eq!(mem.scan_type(title), st.scan_type(title));
-        assert_eq!(mem.shape().to_bytes(), st.shape().to_bytes());
+        assert_eq!(dump(&inc), dump(&st));
+        let title = ty(&inc, "lib.book.title");
+        assert_eq!(inc.scan_type(title), st.scan_type(title));
+        assert_eq!(inc.shape().to_bytes(), st.shape().to_bytes());
         // The spilled runs are gone once the shred completes.
         assert!(store
             .segment_entries()
@@ -3489,13 +3374,13 @@ mod tests {
     #[test]
     fn streaming_shred_persists_identical_segments() {
         let xml = spill_sized_xml();
-        let p1 = temp_path("stream-mem.db");
+        let p1 = temp_path("stream-inc.db");
         let p2 = temp_path("stream-ext.db");
         std::fs::remove_file(&p1).ok();
         std::fs::remove_file(&p2).ok();
         {
             let s1 = Store::open(&p1).unwrap();
-            ShreddedDoc::shred_str(&s1, &xml).unwrap();
+            incremental(&s1, &xml);
             let s2 = Store::open(&p2).unwrap();
             let opts = ShredOptions::builder().memory_budget(64 * 1024);
             ShreddedDoc::shred_str_with(&s2, &xml, &opts).unwrap();

@@ -67,6 +67,14 @@ fn shred(xml: &str) -> (Store, ShreddedDoc) {
     (store, doc)
 }
 
+/// The insert-at-a-time reference shred (`bulk_load(false)`).
+fn shred_incremental(xml: &str) -> (Store, ShreddedDoc) {
+    let store = Store::in_memory();
+    let opts = ShredOptions::builder().bulk_load(false);
+    let doc = ShreddedDoc::shred_str_with(&store, xml, &opts).unwrap();
+    (store, doc)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -102,13 +110,7 @@ proptest! {
     #[test]
     fn bulk_and_incremental_shreds_describe_the_same_document(xml in random_library()) {
         let (_bs, bulk) = shred(&xml);
-        let inc_store = Store::in_memory();
-        let incremental = ShreddedDoc::shred_str_with(
-            &inc_store,
-            &xml,
-            &ShredOptions::builder().bulk_load(false),
-        )
-        .unwrap();
+        let (_is, incremental) = shred_incremental(&xml);
         prop_assert_eq!(bulk.types().len(), incremental.types().len());
         let types: Vec<TypeId> = bulk.types().ids().collect();
         for &t in &types {
@@ -651,10 +653,10 @@ fn v1_segments_still_open_byte_identically() {
 }
 
 // ---------------------------------------------------------------------
-// Streaming (external-sort) shred equivalence and abort atomicity: a
-// shred under a memory budget — any budget, including ones forcing
-// zero, one, or many spilled runs per stream — must describe exactly
-// the document an unbounded in-memory shred does, down to rendered
+// Bulk (external-sort) shred equivalence and abort atomicity: a bulk
+// shred under any memory budget — ones forcing many, one, or zero
+// spilled runs per stream, and none at all — must describe exactly the
+// document the incremental reference shred does, down to rendered
 // bytes and persisted column segments; and a shred that fails must
 // leave nothing behind.
 // ---------------------------------------------------------------------
@@ -709,26 +711,30 @@ proptest! {
     fn streaming_shred_equals_in_memory_shred(
         xml in streaming_corpus(),
         // Budgets at the floor (many runs), mid (zero or one spill),
-        // and far above the corpus (never spills).
-        budget in prop_oneof![Just(1usize), Just(16 * 1024), Just(1 << 20)],
+        // far above the corpus (never spills), and unset (unbounded).
+        budget in prop_oneof![
+            Just(Some(1usize)),
+            Just(Some(16 * 1024)),
+            Just(Some(1 << 20)),
+            Just(None),
+        ],
     ) {
-        let (_ms, mem) = shred(&xml);
+        let (_is, inc) = shred_incremental(&xml);
         let st_store = Store::in_memory();
-        let st = ShreddedDoc::shred_str_with(
-            &st_store,
-            &xml,
-            &ShredOptions::builder().memory_budget(budget),
-        )
-        .unwrap();
+        let opts = match budget {
+            Some(bytes) => ShredOptions::builder().memory_budget(bytes),
+            None => ShredOptions::builder(),
+        };
+        let st = ShreddedDoc::shred_str_with(&st_store, &xml, &opts).unwrap();
 
-        prop_assert_eq!(mem.shape().to_bytes(), st.shape().to_bytes());
-        let types: Vec<TypeId> = mem.types().ids().collect();
+        prop_assert_eq!(inc.shape().to_bytes(), st.shape().to_bytes());
+        let types: Vec<TypeId> = inc.types().ids().collect();
         for &t in &types {
-            prop_assert_eq!(mem.scan_type(t), st.scan_type(t));
-            prop_assert_eq!(mem.scan_type_btree(t), st.scan_type_btree(t));
-            for (d, _) in mem.scan_type(t) {
-                prop_assert_eq!(mem.node_text(&d).unwrap(), st.node_text(&d).unwrap());
-                prop_assert_eq!(mem.node_type(&d).unwrap(), st.node_type(&d).unwrap());
+            prop_assert_eq!(inc.scan_type(t), st.scan_type(t));
+            prop_assert_eq!(inc.scan_type_btree(t), st.scan_type_btree(t));
+            for (d, _) in inc.scan_type(t) {
+                prop_assert_eq!(inc.node_text(&d).unwrap(), st.node_text(&d).unwrap());
+                prop_assert_eq!(inc.node_type(&d).unwrap(), st.node_type(&d).unwrap());
             }
         }
         // No spill segments survive the shred.
@@ -742,7 +748,7 @@ proptest! {
         // typing errors where a guard does not apply).
         for guard in ["MORPH entry", "MORPH deep", "MORPH entry [ a b ]"] {
             let g = Guard::parse(guard).unwrap();
-            let a = g.apply(&mem).map(|o| o.xml);
+            let a = g.apply(&inc).map(|o| o.xml);
             let b = g.apply(&st).map(|o| o.xml);
             prop_assert_eq!(format!("{:?}", a), format!("{:?}", b), "guard {}", guard);
         }
@@ -750,11 +756,16 @@ proptest! {
 
     #[test]
     fn streaming_shred_persists_identical_segments_to_in_memory(xml in streaming_corpus()) {
-        let p1 = temp_path("seg-mem");
+        // The reference columns come from the incremental shred's
+        // post-commit decode of `typeseq`; both bulk shreds build theirs
+        // in the merge's column tee, spilling (budget 1) or not (unset).
+        let p1 = temp_path("seg-inc");
         let p2 = temp_path("seg-ext");
+        let p3 = temp_path("seg-unbounded");
         {
             let s1 = Store::create(&p1).unwrap();
-            ShreddedDoc::shred_str(&s1, &xml).unwrap();
+            ShreddedDoc::shred_str_with(&s1, &xml, &ShredOptions::builder().bulk_load(false))
+                .unwrap();
             let s2 = Store::create(&p2).unwrap();
             ShreddedDoc::shred_str_with(
                 &s2,
@@ -762,23 +773,28 @@ proptest! {
                 &ShredOptions::builder().memory_budget(1),
             )
             .unwrap();
+            let s3 = Store::create(&p3).unwrap();
+            ShreddedDoc::shred_str(&s3, &xml).unwrap();
 
             let mut names: Vec<String> =
                 s1.segment_entries().unwrap().into_iter().map(|(n, _)| n).collect();
             prop_assert!(!names.is_empty());
             names.sort();
-            let mut names2: Vec<String> =
-                s2.segment_entries().unwrap().into_iter().map(|(n, _)| n).collect();
-            names2.sort();
-            prop_assert_eq!(&names, &names2);
-            for name in &names {
-                let a = s1.get_segment(name, false).unwrap().unwrap();
-                let b = s2.get_segment(name, false).unwrap().unwrap();
-                prop_assert_eq!(&a[..], &b[..], "segment {} differs", name);
+            for bulk in [&s2, &s3] {
+                let mut names2: Vec<String> =
+                    bulk.segment_entries().unwrap().into_iter().map(|(n, _)| n).collect();
+                names2.sort();
+                prop_assert_eq!(&names, &names2);
+                for name in &names {
+                    let a = s1.get_segment(name, false).unwrap().unwrap();
+                    let b = bulk.get_segment(name, false).unwrap().unwrap();
+                    prop_assert_eq!(&a[..], &b[..], "segment {} differs", name);
+                }
             }
         }
         std::fs::remove_file(&p1).ok();
         std::fs::remove_file(&p2).ok();
+        std::fs::remove_file(&p3).ok();
     }
 }
 
@@ -834,4 +850,30 @@ fn failed_streaming_shred_leaves_no_run_segments() {
         .unwrap()
         .iter()
         .all(|(n, _)| !n.starts_with("__shredrun.")));
+}
+
+/// Every shred, bulk or incremental, clears the spill runs a crashed
+/// earlier shred left behind: nothing else removes them, and vacuum
+/// keeps them because they are live segments.
+#[test]
+fn every_shred_clears_stale_run_segments() {
+    let no_runs = |store: &Store| {
+        store
+            .segment_entries()
+            .unwrap()
+            .iter()
+            .all(|(n, _)| !n.starts_with("__shredrun."))
+    };
+    for opts in [
+        ShredOptions::builder(),
+        ShredOptions::builder().bulk_load(false),
+    ] {
+        let store = Store::in_memory();
+        store
+            .put_segment("__shredrun.t.0", b"left by a crash")
+            .unwrap();
+        assert!(!no_runs(&store));
+        ShreddedDoc::shred_str_with(&store, "<lib><book>X</book></lib>", &opts).unwrap();
+        assert!(no_runs(&store), "stale run survived a shred with {opts:?}");
+    }
 }
