@@ -32,10 +32,11 @@
 //! [`Session`] is the cheap per-client layer on top: it caches parsed
 //! guards by source text — "the same guard will be reused for many
 //! queries" (§I) — so a client replaying its guard pays parsing once.
-//! The compile phase is cached one level down, on the pinned
-//! [`Snapshot`] ([`Snapshot::analysis`]): every query of the same guard
-//! text within one epoch, from any session, reuses one analysis, and a
-//! mutation starts the next epoch with an empty cache.
+//! The compile phase is cached one level down, with the pinned
+//! [`Snapshot`]'s frozen shape ([`Snapshot::analysis`]): every query of
+//! the same guard text, from any session, reuses one analysis until a
+//! write edits the shape. A text update keeps the cache; an insert or a
+//! delete starts the next shape version with an empty one.
 //!
 //! Every query can opt into a [`QueryStats`] record: the compile/render
 //! split the paper's Fig. 10 measures, plus the delta of the store's
@@ -206,8 +207,9 @@ pub struct QueryResponse {
 /// speed while a single writer mutates and publishes the next epoch.
 ///
 /// Guard parses are cached per [`Session`]; guard analyses are cached
-/// per snapshot, so they are shared by every session reading the same
-/// epoch and dropped with it.
+/// per shape version, so they are shared by every session reading a
+/// snapshot of that version, survive text updates, and are dropped
+/// with the version's last snapshot.
 pub struct Engine {
     store: Store,
     doc: RwLock<ShreddedDoc>,
@@ -372,7 +374,8 @@ impl Engine {
     /// that one epoch, so a query never observes a half-applied
     /// mutation and never blocks the writer for its whole duration.
     /// The analysis comes from the snapshot's cache when this guard
-    /// text already ran in the same epoch; enforcement runs every time.
+    /// text already ran against the same shape version; enforcement
+    /// runs every time.
     pub fn query_parsed(&self, guard: &Guard, req: &QueryRequest) -> MorphResult<QueryResponse> {
         let snap = {
             let doc = self.doc.read().unwrap();
@@ -473,7 +476,8 @@ impl std::fmt::Debug for Engine {
 /// guards keyed by their source text. The server gives each connection
 /// one session; single-program tools can use one session for their
 /// whole run. Parses are cached here, per session; analyses are cached
-/// on the pinned [`Snapshot`], per epoch, and shared across sessions.
+/// with the pinned [`Snapshot`]'s shape version and shared across
+/// sessions.
 pub struct Session<'e> {
     engine: &'e Engine,
     guards: HashMap<String, Guard>,

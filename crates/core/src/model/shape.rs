@@ -25,6 +25,9 @@ pub struct AdornedShape {
     /// the last [`AdornedShape::clear_dirty`]: the rows a store must
     /// persist ([`AdornedShape::type_row`]).
     dirty: BTreeSet<TypeId>,
+    /// Edits since this shape was built or loaded; see
+    /// [`AdornedShape::edits`].
+    edits: u64,
 }
 
 impl AdornedShape {
@@ -84,6 +87,7 @@ impl AdornedShape {
         if self.edge_card[t.index()] != card {
             self.edge_card[t.index()] = card;
             self.dirty.insert(t);
+            self.edits += 1;
         }
     }
 
@@ -100,6 +104,7 @@ impl AdornedShape {
             self.counts.push(0);
             self.children[parent.index()].push(id);
             self.dirty.insert(id);
+            self.edits += 1;
         }
         id
     }
@@ -114,12 +119,22 @@ impl AdornedShape {
             n.saturating_add(delta as u64)
         };
         self.dirty.insert(t);
+        self.edits += 1;
     }
 
     /// Types changed since the last [`AdornedShape::clear_dirty`], in
     /// id order — interned types included, so their ids stay dense.
     pub fn dirty_types(&self) -> impl Iterator<Item = TypeId> + '_ {
         self.dirty.iter().copied()
+    }
+
+    /// How many edits ([`AdornedShape::set_card`] moving a card,
+    /// [`AdornedShape::intern_child_type`] adding a type,
+    /// [`AdornedShape::add_instances`]) this value has taken. Unlike the
+    /// dirty set it never resets, so two readings that agree mean the
+    /// shape has not changed in between.
+    pub fn edits(&self) -> u64 {
+        self.edits
     }
 
     /// Mark every type's row persisted.
@@ -235,6 +250,7 @@ impl AdornedShape {
             roots,
             counts,
             dirty: BTreeSet::new(),
+            edits: 0,
         }
     }
 }

@@ -373,7 +373,11 @@ impl ShreddedDoc {
         }
         let prefix = dewey.encode();
         let mut victims: Vec<(Vec<u8>, TypeId)> = Vec::new();
-        for (k, v) in self.nodes.scan_prefix(&prefix) {
+        // `next_entry`, not the `Iterator` impl: a read error must fail
+        // the delete here, before anything is written, rather than end
+        // the scan early and commit a partial delete.
+        let mut scan = self.nodes.scan_prefix(&prefix);
+        while let Some((k, v)) = scan.next_entry().in_op("scan tree \"nodes\"")? {
             let (t, _) = parse_node_value(&v).ok_or(MorphError::Internal("corrupt nodes entry"))?;
             victims.push((k, t));
         }
@@ -606,7 +610,11 @@ impl ShreddedDoc {
     ) -> MorphResult<()> {
         let prefix = parent.child(old_ord).encode();
         let idx = parent.len();
-        let moves: Vec<(Vec<u8>, Vec<u8>)> = self.nodes.scan_prefix(&prefix).collect();
+        let mut moves: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut scan = self.nodes.scan_prefix(&prefix);
+        while let Some(entry) = scan.next_entry().in_op("scan tree \"nodes\"")? {
+            moves.push(entry);
+        }
         self.cow_pin(
             moves
                 .iter()
@@ -970,11 +978,16 @@ mod tests {
         // x and b never co-occur below the root: distance via root = 3.
         let x = ty(&doc, "d.a.x");
         assert_eq!(doc.snapshot().type_distance_exact(x, b), Some(3));
-        // Insert an x inside... a new b under a: now a holds both. The
-        // new epoch's snapshot starts with an empty distance cache.
+        // Insert an x inside... a new b under a: now a holds both. A
+        // structural write starts a new shape version, whose distance
+        // cache starts empty.
         doc.insert_subtree(&d("1.1"), "<b>3</b>").unwrap();
         let ab = ty(&doc, "d.a.b");
         assert_eq!(doc.snapshot().type_distance_exact(x, ab), Some(2));
+        // Deleting the only `d.b` must not serve the cached 3.
+        assert_eq!(doc.snapshot().type_distance_exact(x, b), Some(3));
+        doc.delete_subtree(&d("1.2")).unwrap();
+        assert_eq!(doc.snapshot().type_distance_exact(x, b), None);
     }
 
     #[test]

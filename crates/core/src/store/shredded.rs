@@ -1867,7 +1867,11 @@ impl ShreddedDoc {
     /// returns the same `Arc`. Republication after a mutation settles
     /// all pending column deltas first (snapshots only ever hold
     /// settled columns) and inherits the previous snapshot's resolved
-    /// columns for types the interim mutations did not touch.
+    /// columns for types the interim mutations did not touch. It also
+    /// inherits the previous snapshot's frozen shape, guard analyses
+    /// and type distances while the shape has taken no edit (a text
+    /// update edits none); the next shape version starts from a fresh
+    /// copy of the shape and empty caches.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         if let Some(snap) = self.published.lock().unwrap().as_ref() {
             if snap.epoch == self.epoch {
@@ -1906,18 +1910,22 @@ impl ShreddedDoc {
                 }
             }
         }
+        // Everything derived from the shape alone carries over while
+        // the shape takes no edit; a structural write pays one clone
+        // here, at publication, not inside the write.
+        let version = match published.as_ref() {
+            Some(old) if old.version.edits == self.shape.edits() => Arc::clone(&old.version),
+            _ => Arc::new(ShapeVersion::new(&self.shape)),
+        };
         let snap = Arc::new(Snapshot {
             epoch: self.epoch,
-            shape: Arc::new(self.shape.clone()),
+            version,
             store: self.store.clone(),
             typeseq: self.typeseq.clone(),
             generation: self.generation,
             tygens: self.tygens.lock().unwrap().clone(),
             columns: RwLock::new(columns),
-            dist_cache: Mutex::new(HashMap::default()),
             plan_cache: RwLock::new(HashMap::default()),
-            source_shape: OnceLock::new(),
-            analyses: Mutex::new(HashMap::new()),
             shared: Arc::clone(&self.shared),
         });
         let mut live = self.shared.live.lock().unwrap();
@@ -2287,13 +2295,16 @@ impl ClosestCursor {
 /// Snapshots are not subject to the document's column budget: columns
 /// they resolve or get pinned stay alive until the snapshot drops.
 ///
-/// A snapshot also memoises guard analyses ([`Snapshot::analysis`]):
-/// the compile phase reads only the frozen shape and this epoch's
-/// data, so its result is fixed for the snapshot's lifetime, and the
-/// next epoch starts from a fresh snapshot with an empty cache.
+/// A snapshot also memoises guard analyses ([`Snapshot::analysis`])
+/// and exact type distances. Both depend only on the adorned shape and
+/// the Dewey numbers of its instances, never on text (Defs. 2, 7), so
+/// they live with the frozen shape in one shape version that every
+/// snapshot published while the shape is unedited shares: a text
+/// update keeps them warm, and the next shape version starts from an
+/// empty cache.
 pub struct Snapshot {
     pub(in crate::store) epoch: u64,
-    shape: Arc<AdornedShape>,
+    version: Arc<ShapeVersion>,
     store: Store,
     typeseq: Tree,
     /// Store-wide shred generation at publication.
@@ -2304,41 +2315,70 @@ pub struct Snapshot {
     /// segment fencing validates against the right generation.
     tygens: HashMap<TypeId, u64>,
     pub(in crate::store) columns: RwLock<HashMap<TypeId, Arc<TypeColumn>, FxBuild>>,
-    /// Exact typeDistance per unordered type pair (the co-occurrence
-    /// scan is linear, so each pair is computed once per snapshot).
-    dist_cache: Mutex<HashMap<(TypeId, TypeId), Option<usize>, FxBuild>>,
     /// Closest-join plan per `(parent type, child type)` pair: the join
     /// prefix length `L` (§VII) and the child column, so a hot probe
     /// pays one map lookup instead of a distance plus a column lookup.
+    /// Per snapshot, unlike the distances: it holds column `Arc`s, and
+    /// a text update replaces those.
     #[allow(clippy::type_complexity)]
     plan_cache: RwLock<HashMap<(TypeId, TypeId), Option<(usize, Arc<TypeColumn>)>, FxBuild>>,
+    shared: Arc<DocShared>,
+}
+
+/// One version of the adorned shape, frozen at publication, with what
+/// is derived from it alone. Every [`Snapshot`] published while the
+/// document's shape takes no edit shares one `ShapeVersion`
+/// ([`ShreddedDoc::snapshot`] compares [`AdornedShape::edits`]), so a
+/// text update costs the next read no shape clone, no compile and no
+/// distance scan.
+struct ShapeVersion {
+    /// [`AdornedShape::edits`] of the document's shape when frozen.
+    edits: u64,
+    shape: AdornedShape,
     /// `Shape::from_adorned(shape)`, built on the first analysis miss.
     source_shape: OnceLock<Shape>,
     /// Successful guard analyses keyed by guard source text, at most
     /// [`Snapshot::ANALYSIS_CACHE_CAP`] of them.
     analyses: Mutex<HashMap<String, Arc<GuardAnalysis>>>,
-    shared: Arc<DocShared>,
+    /// Exact typeDistance per unordered type pair (the co-occurrence
+    /// scan is linear, so each pair is computed once per version).
+    /// Distances read only Dewey numbers, which text updates leave be.
+    dist_cache: Mutex<HashMap<(TypeId, TypeId), Option<usize>, FxBuild>>,
+}
+
+impl ShapeVersion {
+    fn new(shape: &AdornedShape) -> ShapeVersion {
+        ShapeVersion {
+            edits: shape.edits(),
+            shape: shape.clone(),
+            source_shape: OnceLock::new(),
+            analyses: Mutex::new(HashMap::new()),
+            dist_cache: Mutex::new(HashMap::default()),
+        }
+    }
 }
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("epoch", &self.epoch)
-            .field("types", &self.shape.types().len())
+            .field("types", &self.version.shape.types().len())
             .field("resolved", &self.columns.read().unwrap().len())
             .finish_non_exhaustive()
     }
 }
 
 impl Snapshot {
-    /// How many guard analyses one snapshot memoises. Once full, further
-    /// distinct guards are analysed without being inserted, so a client
-    /// sending ever-new guard texts cannot grow a snapshot unboundedly.
+    /// How many guard analyses one shape version memoises. Once full,
+    /// further distinct guards are analysed without being inserted, so
+    /// a client sending ever-new guard texts cannot grow the cache
+    /// unboundedly.
     pub const ANALYSIS_CACHE_CAP: usize = 256;
 
     /// The compile phase of `guard` against this epoch (ξ evaluation
     /// and loss analysis, as [`Guard::analyze_snapshot`]), memoised by
-    /// guard source text for the snapshot's lifetime. Errors are not
+    /// guard source text for as long as the shape takes no edit: every
+    /// snapshot of one shape version shares the entry. Errors are not
     /// cached; enforcement of the typing discipline is left to the
     /// caller, per query.
     pub fn analysis(&self, guard: &Guard) -> MorphResult<Arc<GuardAnalysis>> {
@@ -2350,16 +2390,17 @@ impl Snapshot {
         &self,
         guard: &Guard,
     ) -> MorphResult<(Arc<GuardAnalysis>, bool)> {
-        if let Some(hit) = self.analyses.lock().unwrap().get(guard.source()) {
+        let version = &*self.version;
+        if let Some(hit) = version.analyses.lock().unwrap().get(guard.source()) {
             return Ok((Arc::clone(hit), true));
         }
         // Compute outside the lock: a racing miss may compute the same
         // analysis, and the first insert wins.
-        let src = self
+        let src = version
             .source_shape
-            .get_or_init(|| Shape::from_adorned(&self.shape));
-        let fresh = Arc::new(guard.analyze_with(&self.shape, src, self)?);
-        let mut map = self.analyses.lock().unwrap();
+            .get_or_init(|| Shape::from_adorned(&version.shape));
+        let fresh = Arc::new(guard.analyze_with(&version.shape, src, self)?);
+        let mut map = version.analyses.lock().unwrap();
         if let Some(won) = map.get(guard.source()) {
             return Ok((Arc::clone(won), false));
         }
@@ -2369,9 +2410,10 @@ impl Snapshot {
         Ok((fresh, false))
     }
 
-    /// Guard analyses currently memoised on this snapshot.
+    /// Guard analyses currently memoised for this snapshot's shape
+    /// version.
     pub fn cached_analyses(&self) -> usize {
-        self.analyses.lock().unwrap().len()
+        self.version.analyses.lock().unwrap().len()
     }
 
     /// The epoch this snapshot pins.
@@ -2381,17 +2423,17 @@ impl Snapshot {
 
     /// The adorned shape at the snapshot's epoch.
     pub fn shape(&self) -> &AdornedShape {
-        &self.shape
+        &self.version.shape
     }
 
     /// The type table at the snapshot's epoch.
     pub fn types(&self) -> &TypeTable {
-        self.shape.types()
+        self.version.shape.types()
     }
 
     /// Number of instances of a type at the snapshot's epoch.
     pub fn instance_count(&self, t: TypeId) -> u64 {
-        self.shape.instance_count(t)
+        self.version.shape.instance_count(t)
     }
 
     /// Footprint of the columns this snapshot holds resolved (see
@@ -2432,7 +2474,7 @@ impl Snapshot {
         );
         // Segments validate against the generations frozen at publication.
         let generation = self.tygens.get(&t).copied().unwrap_or(self.generation);
-        let width = self.shape.types().dewey_len(t);
+        let width = self.version.shape.types().dewey_len(t);
         let built = self
             .shared
             .load_column(&self.store, &self.typeseq, width, generation, t);
@@ -2452,20 +2494,20 @@ impl Snapshot {
     /// levels from the deepest shared path prefix upward and checking
     /// *co-occurrence* (two instances sharing a Dewey prefix of that
     /// length) with a sorted-merge over the two columns. Cached per
-    /// pair on the snapshot.
+    /// pair on the snapshot's shape version.
     pub fn type_distance_exact(&self, a: TypeId, b: TypeId) -> Option<usize> {
         let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&hit) = self.dist_cache.lock().unwrap().get(&key) {
+        if let Some(&hit) = self.version.dist_cache.lock().unwrap().get(&key) {
             return hit;
         }
         let result = self.compute_distance(key.0, key.1);
-        self.dist_cache.lock().unwrap().insert(key, result);
+        self.version.dist_cache.lock().unwrap().insert(key, result);
         result
     }
 
     fn compute_distance(&self, a: TypeId, b: TypeId) -> Option<usize> {
         let mut cols = None;
-        distance_by_levels(&self.shape, a, b, |level| {
+        distance_by_levels(&self.version.shape, a, b, |level| {
             let (ca, cb) = cols.get_or_insert_with(|| (self.column(a), self.column(b)));
             co_occur_columns(ca, cb, level)
         })
@@ -2490,7 +2532,7 @@ impl Snapshot {
             return hit.clone();
         }
         let plan = self.type_distance_exact(parent_type, child_type).map(|d| {
-            let types = self.shape.types();
+            let types = self.version.shape.types();
             let lp = types.dewey_len(parent_type);
             let lc = types.dewey_len(child_type);
             ((lp + lc).saturating_sub(d) / 2, self.column(child_type))
@@ -2515,7 +2557,7 @@ impl Snapshot {
         child_type: TypeId,
     ) -> Option<(Arc<TypeColumn>, Range<usize>)> {
         let (l, col) = self.join_plan(parent_type, child_type)?;
-        debug_assert_eq!(parent.len(), self.shape.types().dewey_len(parent_type));
+        debug_assert_eq!(parent.len(), self.version.shape.types().dewey_len(parent_type));
         let range = col.prefix_range(&parent.components()[..l.min(parent.len())]);
         Some((col, range))
     }
@@ -2621,7 +2663,7 @@ impl Snapshot {
         let Some((l, _)) = self.join_plan(parent_type, child_type) else {
             return Vec::new();
         };
-        debug_assert_eq!(parent.len(), self.shape.types().dewey_len(parent_type));
+        debug_assert_eq!(parent.len(), self.version.shape.types().dewey_len(parent_type));
         let prefix = parent.prefix(l);
         let mut key = Vec::with_capacity(4 + prefix.len() * 4);
         key.extend_from_slice(&child_type.0.to_be_bytes());
@@ -3312,6 +3354,51 @@ mod tests {
                 .collect::<Vec<_>>(),
             ["X", "Y"]
         );
+    }
+
+    #[test]
+    fn snapshots_share_the_shape_version_until_a_structural_write() {
+        let store = Store::in_memory();
+        let mut doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap();
+        let shared = |a: &Snapshot, b: &Snapshot| Arc::ptr_eq(&a.version, &b.version);
+        let s0 = doc.snapshot();
+        doc.update_text(&"1.1.1".parse().unwrap(), "Z").unwrap();
+        let s1 = doc.snapshot();
+        assert!(s1.epoch() > s0.epoch());
+        assert!(shared(&s0, &s1), "a text update keeps the shape version");
+        // Fragments rejected before any edit leave the shape alone; the
+        // update after them moves the epoch, so the next publication
+        // really compares edit counts.
+        assert!(doc.insert_subtree(&"1.1".parse().unwrap(), "<award>").is_err());
+        assert!(doc
+            .insert_subtree_before(&"1.1".parse().unwrap(), "<book><title>")
+            .is_err());
+        doc.update_text(&"1.2.1".parse().unwrap(), "W").unwrap();
+        let s2 = doc.snapshot();
+        assert!(s2.epoch() > s1.epoch());
+        assert!(shared(&s1, &s2), "a rejected fragment keeps the shape version");
+        type Write = fn(&mut ShreddedDoc);
+        let writes: [(&str, Write); 3] = [
+            ("insert", |doc| {
+                doc.insert_subtree(&"1.1".parse().unwrap(), "<award>w</award>")
+                    .unwrap();
+            }),
+            ("delete", |doc| {
+                doc.delete_subtree(&"1.2.2".parse().unwrap()).unwrap();
+            }),
+            // The first book sits at ordinal 1: no gap, so it renumbers.
+            ("insert-before", |doc| {
+                doc.insert_subtree_before(&"1.1".parse().unwrap(), "<book><title>N</title></book>")
+                    .unwrap();
+            }),
+        ];
+        for (what, write) in writes {
+            let before = doc.snapshot();
+            write(&mut doc);
+            let after = doc.snapshot();
+            assert!(after.epoch() > before.epoch(), "{what}");
+            assert!(!shared(&before, &after), "{what} must start a new shape version");
+        }
     }
 
     #[test]

@@ -1,18 +1,20 @@
-//! The snapshot-scoped analysis cache is invisible: every query the
+//! The shape-version analysis cache is invisible: every query the
 //! [`Engine`] answers from a cached [`GuardAnalysis`] must equal what a
-//! fresh, uncached compile ([`Guard::analyze_snapshot`]) plus render of
-//! the same snapshot produces — across a random stream of text updates,
-//! inserts that add new types, and deletes that drive a minimum
-//! cardinality to zero. Also pins the cache's bound and its error
-//! paths: failed analyses are never inserted, and enforcement runs on
-//! every query, cached or not.
+//! fresh compile ([`Guard::analyze_snapshot`]) plus render produces on
+//! a cold handle of the same store, one that carries no cache across
+//! writes — across a random stream of text updates, inserts that add
+//! new types, renumbering inserts, and deletes that drive a minimum
+//! cardinality to zero. Also pins the cache's lifetime (a text update
+//! keeps it, a structural write starts a new one), its bound and its
+//! error paths: failed analyses are never inserted, and enforcement
+//! runs on every query, cached or not.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 use xmorph_core::render::RenderOptions;
 use xmorph_core::{
     render_parallel_snapshot, Dewey, Engine, Guard, GuardAnalysis, GuardTyping, MorphError,
-    Mutation, MutationOutcome, ParallelOptions, QueryRequest, Snapshot, TypeId,
+    Mutation, MutationOutcome, ParallelOptions, QueryRequest, ShreddedDoc, Snapshot, TypeId,
 };
 use xmorph_datagen::XmarkConfig;
 
@@ -144,6 +146,13 @@ fn next_mutation(snap: &Snapshot, rng: &mut Rng, step: usize) -> Option<Mutation
             };
             Some(Mutation::InsertSubtree { parent, xml })
         }
+        // An insert before a person: the shred left no ordinal gap
+        // between siblings, so the first such insert under `people`
+        // renumbers every later person and moves their Deweys.
+        6 => Some(Mutation::InsertBefore {
+            sibling: pick(rng, instances(snap, "site.people.person"))?,
+            xml: format!("<person><name>B{step}</name></person>"),
+        }),
         // Deletes of a mandatory child: the first drives the type's
         // minimum cardinality to 0.
         _ => {
@@ -160,27 +169,36 @@ fn next_mutation(snap: &Snapshot, rng: &mut Rng, step: usize) -> Option<Mutation
 }
 
 /// Check every guard on the current epoch; returns what each query
-/// came to, as (guard text, typing or failure).
+/// came to, as (guard text, typing or failure). `shape_kept` says
+/// whether the write before this epoch left the shape alone (a text
+/// update), so its analyses must carry over, or edited it (an insert or
+/// a delete), so they must not.
 fn check_epoch(
     engine: &Engine,
     guards: &[Guard],
     prev: &mut [Option<Arc<GuardAnalysis>>],
+    shape_kept: bool,
 ) -> Vec<(String, String)> {
     let snap = engine.snapshot();
+    let cold = ShreddedDoc::open(engine.store())
+        .expect("cold open")
+        .snapshot();
     let mut seen = Vec::new();
     for (guard, prev) in guards.iter().zip(prev.iter_mut()) {
         let first = snap.analysis(guard).ok();
         if let (Some(first), Some(old)) = (&first, prev.as_ref()) {
-            assert!(
-                !Arc::ptr_eq(first, old),
-                "{}: a new epoch reused the previous epoch's analysis",
-                guard.source()
+            assert_eq!(
+                Arc::ptr_eq(first, old),
+                shape_kept,
+                "{}: shape kept {shape_kept}, but the analysis was {}",
+                guard.source(),
+                if shape_kept { "recomputed" } else { "reused" }
             );
         }
         let outcome = served(engine, guard.source());
         assert_eq!(
             outcome,
-            fresh(&snap, guard),
+            fresh(&cold, guard),
             "{} at epoch {}",
             guard.source(),
             snap.epoch()
@@ -203,28 +221,37 @@ fn check_epoch(
 fn cached_analysis_matches_fresh_under_random_mutations() {
     let xml = XmarkConfig::with_factor(0.002).generate();
     let guards: Vec<Guard> = GUARDS.iter().map(|g| Guard::parse(g).unwrap()).collect();
-    let (mut inserts, mut deletes) = (0, 0);
+    let (mut inserts, mut inserts_before, mut deletes) = (0, 0, 0);
     let mut seen = HashSet::new();
     for seed in [1u64, 7, 42] {
         let engine = Engine::from_xml(&xml).expect("shred");
         let mut rng = Rng(seed);
         let mut prev = vec![None; guards.len()];
-        seen.extend(check_epoch(&engine, &guards, &mut prev));
+        seen.extend(check_epoch(&engine, &guards, &mut prev, false));
         for step in 0..24 {
             let Some(m) = next_mutation(&engine.snapshot(), &mut rng, step) else {
                 continue;
             };
-            match engine.mutate(&m).expect("mutation applies") {
-                MutationOutcome::Inserted(_) => inserts += 1,
-                MutationOutcome::Deleted(_) => deletes += 1,
-                MutationOutcome::Updated => {}
+            let shape_kept = match engine.mutate(&m).expect("mutation applies") {
+                MutationOutcome::Inserted(_) => {
+                    inserts += 1;
+                    false
+                }
+                MutationOutcome::Deleted(_) => {
+                    deletes += 1;
+                    false
+                }
+                MutationOutcome::Updated => true,
+            };
+            if matches!(m, Mutation::InsertBefore { .. }) {
+                inserts_before += 1;
             }
-            seen.extend(check_epoch(&engine, &guards, &mut prev));
+            seen.extend(check_epoch(&engine, &guards, &mut prev, shape_kept));
         }
     }
     assert!(
-        inserts > 0 && deletes > 0,
-        "{inserts} inserts, {deletes} deletes"
+        inserts > 0 && inserts_before > 0 && deletes > 0,
+        "{inserts} inserts ({inserts_before} before a sibling), {deletes} deletes"
     );
     // The stream really moved the loss analysis, not only the text.
     for (guard, class) in [
@@ -256,7 +283,15 @@ fn stats_report_warm_and_cold_compiles() {
             text: "Z".to_string(),
         })
         .unwrap();
-    assert!(!cached(&engine), "a mutation starts an empty cache");
+    assert!(cached(&engine), "a text update keeps the shape's analyses");
+    let people = instances(&engine.snapshot(), "site.people").remove(0);
+    engine
+        .mutate(&Mutation::InsertSubtree {
+            parent: people,
+            xml: "<person><name>New</name></person>".to_string(),
+        })
+        .unwrap();
+    assert!(!cached(&engine), "a structural write starts an empty cache");
     assert!(cached(&engine));
 }
 
