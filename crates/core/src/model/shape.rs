@@ -28,6 +28,10 @@ pub struct AdornedShape {
     /// Edits since this shape was built or loaded; see
     /// [`AdornedShape::edits`].
     edits: u64,
+    /// While a mutation is in flight, the `(type, count, card)` each
+    /// count or card edit overwrote, oldest first; see
+    /// [`AdornedShape::begin_undo`].
+    undo: Option<Vec<(TypeId, u64, Card)>>,
 }
 
 impl AdornedShape {
@@ -85,6 +89,7 @@ impl AdornedShape {
     /// optional" example in §V-B).
     pub fn set_card(&mut self, t: TypeId, card: Card) {
         if self.edge_card[t.index()] != card {
+            self.log_undo(t);
             self.edge_card[t.index()] = card;
             self.dirty.insert(t);
             self.edits += 1;
@@ -112,6 +117,7 @@ impl AdornedShape {
     /// Adjust the instance count of `t` by `delta` (saturating at 0) —
     /// the mutation path's exact count maintenance.
     pub fn add_instances(&mut self, t: TypeId, delta: i64) {
+        self.log_undo(t);
         let n = &mut self.counts[t.index()];
         *n = if delta < 0 {
             n.saturating_sub(delta.unsigned_abs())
@@ -140,6 +146,41 @@ impl AdornedShape {
     /// Mark every type's row persisted.
     pub fn clear_dirty(&mut self) {
         self.dirty.clear();
+    }
+
+    /// Start logging the count and card every edit overwrites, so a
+    /// mutation whose store transaction rolls back can put the shape
+    /// back with [`AdornedShape::undo_edits`]. [`AdornedShape::end_undo`]
+    /// keeps the edits.
+    pub(crate) fn begin_undo(&mut self) {
+        self.undo = Some(Vec::new());
+    }
+
+    /// Stop logging; the edits since [`AdornedShape::begin_undo`] stand.
+    pub(crate) fn end_undo(&mut self) {
+        self.undo = None;
+    }
+
+    /// Restore every count and card edited since
+    /// [`AdornedShape::begin_undo`] and stop logging; false, restoring
+    /// nothing, when no log was open. Types interned since stay, with
+    /// no instances and a `0..0` card, and stay dirty, so the next
+    /// commit persists them and type ids stay dense on disk.
+    pub(crate) fn undo_edits(&mut self) -> bool {
+        let Some(log) = self.undo.take() else {
+            return false;
+        };
+        for (t, count, card) in log.into_iter().rev() {
+            self.counts[t.index()] = count;
+            self.edge_card[t.index()] = card;
+        }
+        true
+    }
+
+    fn log_undo(&mut self, t: TypeId) {
+        if let Some(log) = &mut self.undo {
+            log.push((t, self.counts[t.index()], self.edge_card[t.index()]));
+        }
     }
 
     /// Path cardinality (Def. 6): from `t` to `s`, travel up from `t` to
@@ -251,6 +292,7 @@ impl AdornedShape {
             counts,
             dirty: BTreeSet::new(),
             edits: 0,
+            undo: None,
         }
     }
 }

@@ -82,7 +82,8 @@ use crate::model::shape::AdornedShape;
 use crate::model::types::TypeId;
 use crate::store::colseg;
 use crate::store::shredded::{
-    node_value, parse_node_value, shape_row_key, tygen_key, typeseq_key, ShreddedDoc, TypeColumn,
+    node_value, parse_node_value, shape_row_key, tygen_key, typeseq_key, typeseq_key_into,
+    ShreddedDoc, TypeColumn,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
@@ -326,6 +327,10 @@ impl ShreddedDoc {
     /// subtree are untouched, so the shape does not change; only the
     /// one type's column is maintained.
     pub fn update_text(&mut self, dewey: &Dewey, text: &str) -> MorphResult<()> {
+        self.undoable(|doc| doc.update_text_inner(dewey, text))
+    }
+
+    fn update_text_inner(&mut self, dewey: &Dewey, text: &str) -> MorphResult<()> {
         let key = dewey.encode();
         let value = self
             .nodes
@@ -342,7 +347,8 @@ impl ShreddedDoc {
         self.cow_pin([t]);
         // One logical mutation = one store transaction: both table
         // writes and the per-type maintenance land atomically, and an
-        // error path rolls the lot back (the txn guard's Drop).
+        // error path rolls the lot back (the txn guard's Drop) before
+        // anything in memory moved.
         let txn = self.store.begin().in_op("begin mutation transaction")?;
         self.nodes
             .insert(&key, &node_value(t, text))
@@ -357,8 +363,7 @@ impl ShreddedDoc {
             dewey.components().to_vec(),
             text.to_string(),
         );
-        self.apply_deltas(deltas)?;
-        txn.commit().in_op("commit mutation transaction")
+        self.commit_mutation(txn, deltas, false)
     }
 
     /// Delete the node at `dewey` and its whole subtree; returns the
@@ -368,6 +373,10 @@ impl ShreddedDoc {
     /// (`min` drops to the affected parent's remaining count, possibly
     /// zero); the document root itself cannot be deleted.
     pub fn delete_subtree(&mut self, dewey: &Dewey) -> MorphResult<u64> {
+        self.undoable(|doc| doc.delete_subtree_inner(dewey))
+    }
+
+    fn delete_subtree_inner(&mut self, dewey: &Dewey) -> MorphResult<u64> {
         if dewey.len() <= 1 {
             return Err(mutation_err("cannot delete the document root"));
         }
@@ -391,11 +400,10 @@ impl ShreddedDoc {
         let txn = self.store.begin().in_op("begin mutation transaction")?;
         let mut deltas = Deltas::new();
         let mut removed_per_type: HashMap<TypeId, i64> = HashMap::new();
+        let mut tk = Vec::new();
         for (k, t) in &victims {
             self.nodes.delete(k).in_op("delete from tree \"nodes\"")?;
-            let mut tk = Vec::with_capacity(4 + k.len());
-            tk.extend_from_slice(&t.0.to_be_bytes());
-            tk.extend_from_slice(k);
+            typeseq_key_into(&mut tk, *t, k);
             self.typeseq
                 .delete(&tk)
                 .in_op("delete from tree \"typeseq\"")?;
@@ -414,10 +422,8 @@ impl ShreddedDoc {
         self.shape
             .set_card(root_type, Card::new(old.min.min(remaining), old.max));
         self.persist_shape()?;
-        let n = victims.len() as u64;
-        self.apply_deltas(deltas)?;
-        self.commit_structural(txn)?;
-        Ok(n)
+        self.commit_structural(txn, deltas)?;
+        Ok(victims.len() as u64)
     }
 
     /// Parse `fragment` (one rooted element) and insert it as the
@@ -427,6 +433,10 @@ impl ShreddedDoc {
     /// new types; shape counts and cardinalities maintain themselves
     /// conservatively (bounds only widen).
     pub fn insert_subtree(&mut self, parent: &Dewey, fragment: &str) -> MorphResult<Dewey> {
+        self.undoable(|doc| doc.insert_subtree_inner(parent, fragment))
+    }
+
+    fn insert_subtree_inner(&mut self, parent: &Dewey, fragment: &str) -> MorphResult<Dewey> {
         let events = parse_fragment(fragment)?;
         let ptype = self.node_type_required(parent)?;
         // The last key under the parent lies in its last child's
@@ -442,8 +452,9 @@ impl ShreddedDoc {
         let shared = Arc::clone(&self.shared);
         let _gate = shared.gate.write().unwrap();
         let txn = self.store.begin().in_op("begin mutation transaction")?;
-        let dewey = self.insert_fragment_at(parent, ptype, ord, events)?;
-        self.commit_structural(txn)?;
+        let mut deltas = Deltas::new();
+        let dewey = self.insert_fragment_at(parent, ptype, ord, events, &mut deltas)?;
+        self.commit_structural(txn, deltas)?;
         Ok(dewey)
     }
 
@@ -457,6 +468,14 @@ impl ShreddedDoc {
     /// [`GAP_STRIDE`] above the current maximum — a renumber local to
     /// this one child list that seeds gaps for the next insert.
     pub fn insert_subtree_before(&mut self, sibling: &Dewey, fragment: &str) -> MorphResult<Dewey> {
+        self.undoable(|doc| doc.insert_subtree_before_inner(sibling, fragment))
+    }
+
+    fn insert_subtree_before_inner(
+        &mut self,
+        sibling: &Dewey,
+        fragment: &str,
+    ) -> MorphResult<Dewey> {
         let events = parse_fragment(fragment)?;
         let parent = sibling
             .parent()
@@ -476,9 +495,11 @@ impl ShreddedDoc {
         // Both arms — midpoint insert or local renumber + insert — are
         // a single logical mutation, so one transaction covers them.
         let txn = self.store.begin().in_op("begin mutation transaction")?;
+        let mut deltas = Deltas::new();
         if b - a > 1 {
-            let dewey = self.insert_fragment_at(&parent, ptype, a + (b - a) / 2, events)?;
-            self.commit_structural(txn)?;
+            let ord = a + (b - a) / 2;
+            let dewey = self.insert_fragment_at(&parent, ptype, ord, events, &mut deltas)?;
+            self.commit_structural(txn, deltas)?;
             return Ok(dewey);
         }
         // Only the renumber iterates, over the siblings it moves anyway.
@@ -490,14 +511,12 @@ impl ShreddedDoc {
                 .ok_or_else(|| mutation_err("child ordinal space exhausted"))
         };
         let insert_ord = fresh(1)?;
-        let mut deltas = Deltas::new();
         for (i, &o) in tail.iter().enumerate() {
             let new_o = fresh(i as u32 + 2)?;
             self.renumber_child(&parent, o, new_o, &mut deltas)?;
         }
-        self.apply_deltas(deltas)?;
-        let dewey = self.insert_fragment_at(&parent, ptype, insert_ord, events)?;
-        self.commit_structural(txn)?;
+        let dewey = self.insert_fragment_at(&parent, ptype, insert_ord, events, &mut deltas)?;
+        self.commit_structural(txn, deltas)?;
         Ok(dewey)
     }
 
@@ -531,8 +550,14 @@ impl ShreddedDoc {
             let has = self.columns.read().unwrap().contains_key(&t)
                 || self.pending_deltas.lock().unwrap().contains_key(&t);
             if has {
-                // `column` settles any pending delta before serving.
-                let col = self.column(t);
+                // `try_column` settles any pending delta before serving.
+                // A type whose column fails to load has no segment (its
+                // first mutation dropped it), so it stays dirty for the
+                // next persist rather than get an empty one.
+                let Ok(col) = self.try_column(t) else {
+                    self.dirty.insert(t);
+                    continue;
+                };
                 let bytes = col.encode_segment(self.expected_generation(t));
                 self.store
                     .put_segment(&colseg::segment_name(t), &bytes)
@@ -620,6 +645,7 @@ impl ShreddedDoc {
                 .iter()
                 .filter_map(|(_, v)| parse_node_value(v).map(|(t, _)| t)),
         );
+        let mut tk = Vec::new();
         for (k, v) in moves {
             let (t, text) =
                 parse_node_value(&v).ok_or(MorphError::Internal("corrupt nodes entry"))?;
@@ -629,17 +655,13 @@ impl ShreddedDoc {
             self.nodes
                 .insert(&nk, &v)
                 .in_op("insert into tree \"nodes\"")?;
-            let tkey = |d: &[u8]| {
-                let mut out = Vec::with_capacity(4 + d.len());
-                out.extend_from_slice(&t.0.to_be_bytes());
-                out.extend_from_slice(d);
-                out
-            };
+            typeseq_key_into(&mut tk, t, &k);
             self.typeseq
-                .delete(&tkey(&k))
+                .delete(&tk)
                 .in_op("delete from tree \"typeseq\"")?;
+            typeseq_key_into(&mut tk, t, &nk);
             self.typeseq
-                .insert(&tkey(&nk), text.as_bytes())
+                .insert(&tk, text.as_bytes())
                 .in_op("insert into tree \"typeseq\"")?;
             let mut old_comps = Vec::new();
             let mut new_comps = Vec::new();
@@ -659,6 +681,7 @@ impl ShreddedDoc {
         parent_type: TypeId,
         ordinal: u32,
         events: Vec<XmlEvent>,
+        deltas: &mut Deltas,
     ) -> MorphResult<Dewey> {
         let root_dewey = parent.child(ordinal);
         if self
@@ -676,7 +699,6 @@ impl ShreddedDoc {
         // frozen shape knows them. (Shape edits above don't need the
         // pin: snapshots hold their own `Arc` clone of the shape.)
         self.cow_pin(entries.iter().map(|(t, _, _)| *t));
-        let mut deltas = Deltas::new();
         for (t, d, text) in &entries {
             self.nodes
                 .insert(&d.encode(), &node_value(*t, text))
@@ -684,7 +706,7 @@ impl ShreddedDoc {
             self.typeseq
                 .insert(&typeseq_key(*t, d), text.as_bytes())
                 .in_op("insert into tree \"typeseq\"")?;
-            delta_added(&mut deltas, *t, d.components().to_vec(), text.clone());
+            delta_added(deltas, *t, d.components().to_vec(), text.clone());
         }
         // The edge into the inserted root's type: fold in this
         // parent's new child count. `min` only moves down (a fresh
@@ -697,7 +719,6 @@ impl ShreddedDoc {
             Card::new(old.min.min(n_now), old.max.max(CardMax::Finite(n_now))),
         );
         self.persist_shape()?;
-        self.apply_deltas(deltas)?;
         Ok(root_dewey)
     }
 
@@ -714,23 +735,80 @@ impl ShreddedDoc {
         Ok(())
     }
 
-    /// Commit a structural mutation's transaction; only then are the
-    /// shape rows it wrote clean. A mutation that fails after editing
-    /// the shape leaves those types dirty, so the next commit persists
-    /// them and interned type ids never skip one on disk.
-    fn commit_structural(&mut self, txn: Txn) -> MorphResult<()> {
-        txn.commit().in_op("commit mutation transaction")?;
-        self.shape.clear_dirty();
-        Ok(())
+    /// Run one public mutation with the shape's undo log open. The
+    /// store rolls a transaction back when the mutation fails before
+    /// its commit; this puts back what the mutation had changed in
+    /// memory by then — shape counts and cards, and the tree roots the
+    /// handles cached — so the writer is never ahead of its store.
+    /// [`ShreddedDoc::commit_mutation`] closes the log at the commit,
+    /// so an error the commit itself returns undoes nothing.
+    fn undoable<T>(&mut self, body: impl FnOnce(&mut Self) -> MorphResult<T>) -> MorphResult<T> {
+        self.shape.begin_undo();
+        let out = body(self);
+        if out.is_err() && self.shape.undo_edits() {
+            for tree in [&self.nodes, &self.typeseq, &self.meta] {
+                tree.reload_root();
+            }
+        }
+        self.shape.end_undo();
+        out
     }
 
-    /// Apply the per-type column maintenance for one mutation: every
-    /// touched type gets a fresh per-type generation; a cached column
-    /// merges in place (and is marked dirty for a deferred segment
-    /// rewrite), an uncached one is invalidated; either way the stale
-    /// persisted segment is dropped so its extent returns to the
-    /// store's free list.
-    fn apply_deltas(&mut self, deltas: Deltas) -> MorphResult<()> {
+    /// Commit a structural mutation ([`ShreddedDoc::commit_mutation`]),
+    /// after which the shape rows it wrote are clean. A mutation that
+    /// fails before its commit after interning a type leaves the type
+    /// dirty, so the next commit persists it and interned type ids
+    /// never skip one on disk.
+    fn commit_structural(&mut self, txn: Txn, deltas: Deltas) -> MorphResult<()> {
+        self.commit_mutation(txn, deltas, true)
+    }
+
+    /// Commit one mutation's per-type column maintenance with its
+    /// transaction. Inside the transaction, every type first touched
+    /// since the last persist gets a fresh per-type generation row and
+    /// loses its stale persisted segment (so its extent returns to the
+    /// store's free list). Only once the commit lands does the handle
+    /// move: the epoch, the generations, and the deltas — a cached
+    /// column's folds into the pending merge (and is marked dirty for a
+    /// deferred segment rewrite), an uncached one is invalidated — and,
+    /// for a structural mutation (`shape_rows`), the shape's dirty set.
+    ///
+    /// The store publishes the transaction in memory even when its
+    /// commit returns an error (a failed log write or sync, not a
+    /// rollback), so the handle moves either way and then reports the
+    /// error.
+    fn commit_mutation(&mut self, txn: Txn, deltas: Deltas, shape_rows: bool) -> MorphResult<()> {
+        // First touch since the last persist pays the bump: a new
+        // per-type generation, its meta write, and the drop of the
+        // stale segment. Repeat touches skip all three — the segment
+        // is already gone and the persisted tygen already fences it —
+        // which is what keeps a burst of updates to one type at a
+        // single tree write per update. Types go in id order, so a
+        // mutation assigns the same generations and issues the same
+        // writes on every run.
+        let mut types: Vec<TypeId> = deltas.keys().copied().collect();
+        types.sort_by_key(|t| t.0);
+        let mut bumps: Vec<(TypeId, u64)> = Vec::new();
+        for t in types {
+            if self.bumped_since_persist.contains(&t) {
+                continue;
+            }
+            let gen = self.next_gen + bumps.len() as u64;
+            self.meta
+                .insert(&tygen_key(t), &gen.to_le_bytes())
+                .in_op("write per-type generation")?;
+            if self.store.is_persistent() {
+                self.store
+                    .delete_segment(&colseg::segment_name(t))
+                    .in_op("drop stale column segment")?;
+            }
+            bumps.push((t, gen));
+        }
+        self.shape.end_undo();
+        let committed = txn.commit();
+        if shape_rows {
+            self.shape.clear_dirty();
+        }
         if !deltas.is_empty() {
             // Publish the new epoch: snapshots published from here on
             // see the post-mutation state, and the touched map records
@@ -744,28 +822,15 @@ impl ShreddedDoc {
             for t in deltas.keys() {
                 touched.insert(*t, epoch);
             }
-            drop(touched);
         }
+        self.next_gen += bumps.len() as u64;
+        let mut tygens = self.tygens.lock().unwrap();
+        for (t, gen) in bumps {
+            tygens.insert(t, gen);
+            self.bumped_since_persist.insert(t);
+        }
+        drop(tygens);
         for (t, delta) in deltas {
-            // First touch since the last persist pays the bump: a new
-            // per-type generation, its meta write, and the drop of the
-            // stale segment. Repeat touches skip all three — the
-            // segment is already gone and the persisted tygen already
-            // fences it — which is what keeps a burst of updates to
-            // one type at a single tree write per update.
-            if self.bumped_since_persist.insert(t) {
-                let gen = self.next_gen;
-                self.next_gen += 1;
-                self.tygens.lock().unwrap().insert(t, gen);
-                self.meta
-                    .insert(&tygen_key(t), &gen.to_le_bytes())
-                    .in_op("write per-type generation")?;
-                if self.store.is_persistent() {
-                    self.store
-                        .delete_segment(&colseg::segment_name(t))
-                        .in_op("drop stale column segment")?;
-                }
-            }
             let cached = self.columns.read().unwrap().contains_key(&t);
             let mut pending = self.pending_deltas.lock().unwrap();
             if cached || pending.contains_key(&t) {
@@ -778,7 +843,7 @@ impl ShreddedDoc {
                 self.invalidated_columns += 1;
             }
         }
-        Ok(())
+        committed.in_op("commit mutation transaction")
     }
 }
 

@@ -41,13 +41,15 @@ use crate::model::types::{TypeId, TypeTable};
 use crate::semantics::eval::DistOracle;
 use crate::semantics::shape::Shape;
 use crate::store::colseg;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::cmp::Ordering as Cmp;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
-use xmorph_pagestore::{SegmentData, Store, StoreError, Tree, DEFAULT_FILL};
+use xmorph_pagestore::{
+    BulkSource, SegmentData, Store, StoreError, StoreResult, Tree, DEFAULT_FILL,
+};
 use xmorph_xml::dewey::{decode_components_into, Dewey};
 use xmorph_xml::reader::{EventSource, XmlEvent, XmlReader, XmlStreamReader};
 
@@ -855,18 +857,33 @@ fn load_shape(meta: &Tree) -> MorphResult<AdornedShape> {
     Ok(shape)
 }
 
+/// A `typeseq` key: the big-endian type id, so one type's entries are
+/// contiguous, then the encoded Dewey, so they run in document order.
 pub(in crate::store) fn typeseq_key(t: TypeId, dewey: &Dewey) -> Vec<u8> {
     let mut k = Vec::with_capacity(4 + dewey.len() * 4);
-    k.extend_from_slice(&t.0.to_be_bytes());
-    k.extend_from_slice(&dewey.encode());
+    typeseq_key_into(&mut k, t, &dewey.encode());
     k
 }
 
+/// [`typeseq_key`] of an already encoded Dewey, into `out` (cleared).
+pub(in crate::store) fn typeseq_key_into(out: &mut Vec<u8>, t: TypeId, dewey: &[u8]) {
+    out.clear();
+    out.extend_from_slice(&t.0.to_be_bytes());
+    out.extend_from_slice(dewey);
+}
+
+/// A `nodes` value: the little-endian type id, then the direct text.
 pub(in crate::store) fn node_value(t: TypeId, text: &str) -> Vec<u8> {
     let mut v = Vec::with_capacity(4 + text.len());
-    v.extend_from_slice(&t.0.to_le_bytes());
-    v.extend_from_slice(text.as_bytes());
+    node_value_into(&mut v, t, text);
     v
+}
+
+/// [`node_value`] into `out` (cleared).
+fn node_value_into(out: &mut Vec<u8>, t: TypeId, text: &str) {
+    out.clear();
+    out.extend_from_slice(&t.0.to_le_bytes());
+    out.extend_from_slice(text.as_bytes());
 }
 
 pub(in crate::store) fn parse_node_value(v: &[u8]) -> Option<(TypeId, String)> {
@@ -982,7 +999,9 @@ impl DocShared {
     /// persisted column segment carrying `generation` (memory-mapped
     /// when the store and platform allow) and falls back to decoding
     /// the `typeseq` range when the segment is missing, stale, or
-    /// corrupt, recording why.
+    /// corrupt, recording why. A read error in that decode is recorded
+    /// too, and returned: callers must not cache, merge into, or
+    /// persist a column that failed to load.
     fn load_column(
         &self,
         store: &Store,
@@ -990,12 +1009,12 @@ impl DocShared {
         width: usize,
         generation: u64,
         t: TypeId,
-    ) -> TypeColumn {
+    ) -> StoreResult<TypeColumn> {
         if self.use_persisted {
             let name = colseg::segment_name(t);
             let reason = match store.get_segment(&name, self.prefer_mmap) {
                 Ok(Some(seg)) => match colseg::parse(&seg, width, generation) {
-                    Ok(parsed) => return TypeColumn::from_segment(seg, parsed),
+                    Ok(parsed) => return Ok(TypeColumn::from_segment(seg, parsed)),
                     Err(reason) => Some(reason.to_string()),
                 },
                 Ok(None) => None,
@@ -1009,48 +1028,79 @@ impl DocShared {
             }
         }
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        decode_typeseq_column(typeseq, width, t)
+        decode_typeseq_column(typeseq, width, t).inspect_err(|e| {
+            self.fallbacks
+                .lock()
+                .unwrap()
+                .push(format!("typeseq decode of type {}: {e}", t.0));
+        })
+    }
+}
+
+/// One type's column under construction: the per-entry decode behind
+/// both the merge-time [`ColumnTee`] and [`decode_typeseq_column`], so
+/// a streamed column and a post-shred decode agree byte for byte.
+struct ColumnBuilder {
+    width: usize,
+    comps: Vec<u32>,
+    offsets: Vec<u32>,
+    texts: String,
+}
+
+impl ColumnBuilder {
+    fn new(width: usize) -> ColumnBuilder {
+        ColumnBuilder {
+            width,
+            comps: Vec::new(),
+            offsets: vec![0],
+            texts: String::new(),
+        }
+    }
+
+    /// Append one `typeseq` entry, given its key past the 4-byte type
+    /// prefix. Malformed entries (a Dewey of the wrong width, non-UTF-8
+    /// text) are skipped, matching the lenient decoding of the scans
+    /// this replaces.
+    fn push(&mut self, dewey: &[u8], text: &[u8]) {
+        let mark = self.comps.len();
+        let Ok(text) = std::str::from_utf8(text) else {
+            return;
+        };
+        if !decode_components_into(dewey, &mut self.comps) || self.comps.len() - mark != self.width
+        {
+            self.comps.truncate(mark);
+            return;
+        }
+        self.texts.push_str(text);
+        self.offsets.push(self.texts.len() as u32);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.comps.len() * 4 + self.offsets.len() * 4 + self.texts.len()
+    }
+
+    fn finish(self) -> TypeColumn {
+        TypeColumn::from_parts(self.width, self.comps, self.offsets, self.texts)
     }
 }
 
 /// Decode one type's column straight from the `typeseq` tree — the
 /// fallback build [`DocShared::load_column`] uses when no valid
-/// persisted segment exists. Malformed entries are skipped, matching
-/// the lenient decoding of the scans this replaces.
-fn decode_typeseq_column(typeseq: &Tree, width: usize, t: TypeId) -> TypeColumn {
-    let mut comps: Vec<u32> = Vec::new();
-    let mut texts = String::new();
-    let mut offsets: Vec<u32> = vec![0];
-    for (k, v) in typeseq.scan_prefix(&t.0.to_be_bytes()) {
-        let mark = comps.len();
+/// persisted segment exists, and the shred's build of columns too large
+/// to stream. A read error is an error, never a short column.
+fn decode_typeseq_column(typeseq: &Tree, width: usize, t: TypeId) -> StoreResult<TypeColumn> {
+    let prefix = t.0.to_be_bytes();
+    let mut col = ColumnBuilder::new(width);
+    let mut scan = typeseq.scan_prefix(&prefix);
+    while let Some((k, v)) = scan.next_entry()? {
         // A torn tree can surface keys that violate the scan bounds,
-        // including ones shorter than the type prefix — skip them
-        // like any other malformed entry instead of slicing past
-        // the end.
-        if !k.starts_with(&t.0.to_be_bytes())
-            || !decode_components_into(&k[4..], &mut comps)
-            || comps.len() - mark != width
-        {
-            comps.truncate(mark);
-            continue;
+        // including ones shorter than the type prefix — skip them like
+        // any other malformed entry.
+        if let Some(dewey) = k.strip_prefix(&prefix) {
+            col.push(dewey, &v);
         }
-        match std::str::from_utf8(&v) {
-            Ok(text) => texts.push_str(text),
-            Err(_) => {
-                comps.truncate(mark);
-                continue;
-            }
-        }
-        offsets.push(texts.len() as u32);
     }
-    TypeColumn {
-        width,
-        backing: Backing::Heap {
-            comps,
-            texts,
-            offsets,
-        },
-    }
+    Ok(col.finish())
 }
 
 /// The `(Dewey, text)` rows of `typeseq` under a key prefix, straight
@@ -1074,16 +1124,53 @@ fn typeseq_rows(typeseq: &Tree, prefix: &[u8]) -> Vec<(Dewey, String)> {
 /// path, and every shred first clears any a crash left behind.
 const RUN_SEG_PREFIX: &str = "__shredrun.";
 
-/// Per-entry bookkeeping overhead charged against the run budget: two
-/// `Vec` headers plus allocator slack.
-const RUN_ENTRY_OVERHEAD: usize = 48;
+/// Header of one run record, `[klen: u32][vlen: u32]` little-endian,
+/// followed by the key and the value. A run arena and a spilled run
+/// segment hold the same records back to back.
+const RECORD_HEADER: usize = 8;
 
-/// Deletes every registered spill segment when dropped — after the
-/// merge on success, and on any abort path, so a failed bulk shred
-/// never leaks `__shredrun.*` segments.
+/// The key and value ranges of the record starting at `pos` of `buf`,
+/// or `None` when the bytes there are not one whole record.
+#[inline]
+fn record_at(buf: &[u8], pos: usize) -> Option<(Range<usize>, Range<usize>)> {
+    let head = buf.get(pos..pos.checked_add(RECORD_HEADER)?)?;
+    let klen = u32::from_le_bytes(head[0..4].try_into().unwrap()) as usize;
+    let vlen = u32::from_le_bytes(head[4..8].try_into().unwrap()) as usize;
+    let k0 = pos + RECORD_HEADER;
+    let v0 = k0.checked_add(klen)?;
+    let end = v0.checked_add(vlen)?;
+    (end <= buf.len()).then_some((k0..v0, v0..end))
+}
+
+/// The key of the arena record at `pos` (the arena is written only by
+/// [`RunSpiller::push`], so its records are whole).
+#[inline]
+fn arena_key(arena: &[u8], pos: u32) -> &[u8] {
+    let pos = pos as usize;
+    let klen = u32::from_le_bytes(arena[pos..pos + 4].try_into().unwrap()) as usize;
+    &arena[pos + RECORD_HEADER..pos + RECORD_HEADER + klen]
+}
+
+/// Deletes every registered spill segment when dropped — on any abort
+/// path, so a failed bulk shred never leaks `__shredrun.*` segments.
+/// A successful shred deletes them through [`RunGuard::release`], which
+/// reports a failed delete.
 struct RunGuard<'a> {
     store: &'a Store,
     names: RefCell<Vec<String>>,
+}
+
+impl RunGuard<'_> {
+    fn release(self) -> MorphResult<()> {
+        loop {
+            let Some(name) = self.names.borrow().last().cloned() else {
+                return Ok(());
+            };
+            // A failed delete keeps the name, so the drop retries it.
+            self.store.delete_segment(&name).in_op("drop shred run")?;
+            self.names.borrow_mut().pop();
+        }
+    }
 }
 
 impl Drop for RunGuard<'_> {
@@ -1094,18 +1181,29 @@ impl Drop for RunGuard<'_> {
     }
 }
 
-/// One sorted stream of the external sort: entries accumulate in a
-/// fixed-size buffer; when the buffer's byte estimate crosses `budget`
-/// it is sorted and spilled to a store segment as one run. The
-/// in-memory tail left at end of input becomes the final run without
-/// ever being serialized.
+/// One sorted stream of the external sort. Entries append as records
+/// to one flat arena, with an offset index beside it; the arena and the
+/// index are charged by their real bytes, and when the next record
+/// would take them past `budget` the index is sorted by key and the
+/// arena spills to a store segment as one run, serialized through a
+/// reused image buffer. A record larger than the budget on its own
+/// becomes a run of its own. The arena left at end of input is the
+/// final run and is never serialized. Nothing here allocates per entry:
+/// the arena, the index and the image grow to their high-water mark
+/// and are reused run after run.
 struct RunSpiller<'a> {
     store: &'a Store,
     guard: &'a RunGuard<'a>,
     tag: &'static str,
+    /// Bytes the arena and the index may hold; at most `u32::MAX`, so
+    /// an index offset always fits.
     budget: usize,
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
-    bytes: usize,
+    arena: Vec<u8>,
+    /// Start offset of each record in `arena`, in arrival order until
+    /// a spill sorts it.
+    index: Vec<u32>,
+    /// The sorted image of the last spilled run.
+    image: Vec<u8>,
     runs: Vec<String>,
     count: u64,
 }
@@ -1116,352 +1214,393 @@ impl<'a> RunSpiller<'a> {
             store,
             guard,
             tag,
-            budget,
-            entries: Vec::new(),
-            bytes: 0,
+            budget: budget.min(u32::MAX as usize),
+            arena: Vec::new(),
+            index: Vec::new(),
+            image: Vec::new(),
             runs: Vec::new(),
             count: 0,
         }
     }
 
     #[inline]
-    fn push(&mut self, key: Vec<u8>, value: Vec<u8>) -> MorphResult<()> {
-        self.bytes += key.len() + value.len() + RUN_ENTRY_OVERHEAD;
-        self.count += 1;
-        self.entries.push((key, value));
-        if self.bytes >= self.budget {
+    fn push(&mut self, key: &[u8], value: &[u8]) -> MorphResult<()> {
+        let (Ok(klen), Ok(vlen)) = (u32::try_from(key.len()), u32::try_from(value.len())) else {
+            return Err(MorphError::Internal("shred entry of 4 GiB or more"));
+        };
+        let rec = RECORD_HEADER + key.len() + value.len();
+        if !self.index.is_empty() && self.arena.len() + 4 * self.index.len() + rec + 4 > self.budget
+        {
             self.spill()?;
         }
+        if self.arena.len() + rec > self.arena.capacity() {
+            self.grow(rec);
+        }
+        // The spill above keeps every record but a lone oversized one
+        // inside the budget, so its start offset fits in a `u32`.
+        self.index.push(self.arena.len() as u32);
+        self.arena.extend_from_slice(&klen.to_le_bytes());
+        self.arena.extend_from_slice(&vlen.to_le_bytes());
+        self.arena.extend_from_slice(key);
+        self.arena.extend_from_slice(value);
+        self.count += 1;
         Ok(())
+    }
+
+    /// Grow the arena for one more record: doubling, as a `Vec` would,
+    /// but never past the budget, so a bounded stream's arena ends at
+    /// its budget rather than at the next power of two above it.
+    #[cold]
+    fn grow(&mut self, rec: usize) {
+        let need = self.arena.len() + rec;
+        let want = (self.arena.capacity() * 2)
+            .max(need)
+            .min(self.budget.max(need));
+        self.arena.reserve_exact(want - self.arena.len());
     }
 
     // Kept out of `push`'s inlined per-entry path: the default,
-    // unbounded budget never spills.
+    // unbounded budget spills only past 4 GiB.
     #[cold]
     #[inline(never)]
     fn spill(&mut self) -> MorphResult<()> {
-        if self.entries.is_empty() {
-            return Ok(());
-        }
-        self.entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        // Records are length-prefixed and drained as they serialize,
-        // so the peak is one run buffer plus its flat image.
-        let mut blob: Vec<u8> = Vec::with_capacity(self.bytes);
-        for (k, v) in self.entries.drain(..) {
-            blob.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            blob.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            blob.extend_from_slice(&k);
-            blob.extend_from_slice(&v);
+        let arena = &self.arena;
+        self.index
+            .sort_unstable_by(|&a, &b| arena_key(arena, a).cmp(arena_key(arena, b)));
+        self.image.clear();
+        self.image.reserve_exact(arena.len());
+        for &pos in &self.index {
+            let (_, value) = record_at(arena, pos as usize).expect("arena records are whole");
+            self.image
+                .extend_from_slice(&arena[pos as usize..value.end]);
         }
         let name = format!("{RUN_SEG_PREFIX}{}.{}", self.tag, self.runs.len());
         self.store
-            .put_segment(&name, &blob)
+            .put_segment(&name, &self.image)
             .in_op("spill shred run")?;
         self.guard.names.borrow_mut().push(name.clone());
         self.runs.push(name);
-        self.bytes = 0;
+        self.arena.clear();
+        self.index.clear();
         Ok(())
     }
 
-    /// Finish the stream: sort the tail, map every spilled run back in
-    /// (read-only, page-aligned — not heap on a file-backed store),
-    /// and return the k-way merge cursor. `produced` counts the pairs
-    /// the merge yields so the caller can verify none were lost to a
-    /// torn run. When nothing spilled, the sorted tail is the whole
-    /// stream and no heap is built.
-    fn into_merge(mut self, produced: &Cell<u64>) -> MorphResult<MergeStream<'_>> {
-        self.entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let tail = std::mem::take(&mut self.entries).into_iter();
-        if self.runs.is_empty() {
-            return Ok(MergeStream {
-                merge: Merge::Tail(tail),
-                produced,
-            });
-        }
-        let mut sources = Vec::with_capacity(self.runs.len() + 1);
+    /// Finish the stream: sort the arena's index, map every spilled run
+    /// back in (read-only, page-aligned — not heap on a file-backed
+    /// store), and return the k-way merge over them and the arena.
+    fn into_merge(mut self) -> MorphResult<MergeStream> {
+        let arena = &self.arena;
+        self.index
+            .sort_unstable_by(|&a, &b| arena_key(arena, a).cmp(arena_key(arena, b)));
+        let mut runs = Vec::with_capacity(self.runs.len() + 1);
         for name in &self.runs {
             let data = self
                 .store
                 .get_segment(name, true)
                 .in_op("map shred run")?
                 .ok_or(MorphError::Internal("shred run segment vanished"))?;
-            sources.push(RunSource::Seg { data, pos: 0 });
+            runs.push(RunCursor::new(RunData::Seg(data)));
         }
-        sources.push(RunSource::Mem { iter: tail });
-        let heap = sources
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, s)| s.next().map(|(k, v)| std::cmp::Reverse((k, v, i))))
-            .collect();
-        Ok(MergeStream {
-            merge: Merge::Runs { sources, heap },
-            produced,
-        })
+        runs.push(RunCursor::new(RunData::Tail {
+            arena: std::mem::take(&mut self.arena),
+            index: std::mem::take(&mut self.index),
+        }));
+        MergeStream::new(runs).in_op("read shred run")
     }
 }
 
-/// One input to the k-way merge.
-enum RunSource {
+/// The records of one merge input.
+enum RunData {
     /// A spilled, sorted run mapped back from a store segment.
-    Seg { data: SegmentData, pos: usize },
-    /// The in-memory tail buffered when input ended.
-    Mem {
-        iter: std::vec::IntoIter<(Vec<u8>, Vec<u8>)>,
-    },
+    Seg(SegmentData),
+    /// The arena buffered when input ended, read in sorted index order.
+    Tail { arena: Vec<u8>, index: Vec<u32> },
 }
 
-impl RunSource {
-    fn next(&mut self) -> Option<(Vec<u8>, Vec<u8>)> {
-        match self {
-            RunSource::Mem { iter } => iter.next(),
-            RunSource::Seg { data, pos } => {
-                let rest = &data[*pos..];
-                if rest.is_empty() {
-                    return None;
-                }
-                // A truncated record ends the run early; the caller's
-                // produced-count check turns that into an error.
-                if rest.len() < 8 {
-                    *pos = data.len();
-                    return None;
-                }
-                let klen = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
-                let vlen = u32::from_le_bytes(rest[4..8].try_into().unwrap()) as usize;
-                let Some(body) = rest.get(8..8 + klen + vlen) else {
-                    *pos = data.len();
-                    return None;
-                };
-                let pair = (body[..klen].to_vec(), body[klen..].to_vec());
-                *pos += 8 + klen + vlen;
-                Some(pair)
+/// One input of the k-way merge, positioned on its head record. The
+/// head is read in place: its key and value are ranges of the run's
+/// bytes, not copies.
+struct RunCursor {
+    data: RunData,
+    /// The next record: a byte offset into a segment, or a slot of the
+    /// tail's index.
+    next: usize,
+    key: Range<usize>,
+    value: Range<usize>,
+}
+
+impl RunCursor {
+    fn new(data: RunData) -> RunCursor {
+        RunCursor {
+            data,
+            next: 0,
+            key: 0..0,
+            value: 0..0,
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        match &self.data {
+            RunData::Seg(data) => data,
+            RunData::Tail { arena, .. } => arena,
+        }
+    }
+
+    /// Move to the next record; `false` when the run is exhausted. A
+    /// record cut short — a torn run segment — is an error here, at the
+    /// record, not a run that ends early.
+    fn advance(&mut self) -> StoreResult<bool> {
+        let pos = match &self.data {
+            RunData::Seg(data) if self.next == data.len() => return Ok(false),
+            RunData::Seg(_) => self.next,
+            RunData::Tail { index, .. } => match index.get(self.next) {
+                Some(&pos) => pos as usize,
+                None => return Ok(false),
+            },
+        };
+        let (key, value) = record_at(self.bytes(), pos)
+            .ok_or(StoreError::Corrupt("shred run record cut short"))?;
+        self.next = match self.data {
+            RunData::Seg(_) => value.end,
+            RunData::Tail { .. } => self.next + 1,
+        };
+        self.key = key;
+        self.value = value;
+        Ok(true)
+    }
+
+    #[inline]
+    fn key(&self) -> &[u8] {
+        &self.bytes()[self.key.clone()]
+    }
+}
+
+/// The sorted stream one [`RunSpiller`] hands the bulk loader: a k-way
+/// merge over its spilled runs and its tail. The heap holds run indexes
+/// ordered by their head keys (unique across runs), so each step costs
+/// O(log k) key comparisons and no copy: the pair handed out is
+/// borrowed from its run until the next step advances that run.
+struct MergeStream {
+    runs: Vec<RunCursor>,
+    heap: Vec<usize>,
+    /// The top run's head was handed out and must advance first.
+    handed: bool,
+    /// Pairs handed out, checked against the count the spiller took in.
+    produced: u64,
+}
+
+impl MergeStream {
+    fn new(mut runs: Vec<RunCursor>) -> StoreResult<MergeStream> {
+        let mut heap = Vec::with_capacity(runs.len());
+        for (i, run) in runs.iter_mut().enumerate() {
+            if run.advance()? {
+                heap.push(i);
             }
+        }
+        let mut merge = MergeStream {
+            runs,
+            heap,
+            handed: false,
+            produced: 0,
+        };
+        for i in (0..merge.heap.len() / 2).rev() {
+            merge.sift_down(i);
+        }
+        Ok(merge)
+    }
+
+    #[inline]
+    fn less(&self, a: usize, b: usize) -> bool {
+        self.runs[self.heap[a]].key() < self.runs[self.heap[b]].key()
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.heap.len();
+        loop {
+            let (l, r) = (2 * i + 1, 2 * i + 2);
+            let mut least = i;
+            if l < n && self.less(l, least) {
+                least = l;
+            }
+            if r < n && self.less(r, least) {
+                least = r;
+            }
+            if least == i {
+                return;
+            }
+            self.heap.swap(i, least);
+            i = least;
         }
     }
 }
 
-/// A run head in the merge heap: key, value, and source index. Keys
-/// are unique across runs, so tuple order never reaches the index.
-type MergeHead = std::cmp::Reverse<(Vec<u8>, Vec<u8>, usize)>;
-
-/// The sorted stream one [`RunSpiller`] hands the bulk loader.
-struct MergeStream<'p> {
-    merge: Merge,
-    produced: &'p Cell<u64>,
-}
-
-enum Merge {
-    /// Nothing spilled (always the case under an unbounded budget):
-    /// the sorted in-memory tail is the whole stream.
-    Tail(std::vec::IntoIter<(Vec<u8>, Vec<u8>)>),
-    /// K-way merge over spilled runs and the tail. A min-heap of run
-    /// heads keeps each pop at O(log k) key comparisons, so the merge
-    /// stays cheap even when an out-of-core document spills hundreds
-    /// of runs.
-    Runs {
-        sources: Vec<RunSource>,
-        heap: std::collections::BinaryHeap<MergeHead>,
-    },
-}
-
-impl Iterator for MergeStream<'_> {
-    type Item = (Vec<u8>, Vec<u8>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let pair = match &mut self.merge {
-            Merge::Tail(tail) => tail.next()?,
-            Merge::Runs { sources, heap } => {
-                let std::cmp::Reverse((k, v, i)) = heap.pop()?;
-                if let Some((nk, nv)) = sources[i].next() {
-                    heap.push(std::cmp::Reverse((nk, nv, i)));
-                }
-                (k, v)
+impl BulkSource for MergeStream {
+    fn next(&mut self) -> StoreResult<Option<(&[u8], &[u8])>> {
+        if self.handed {
+            self.handed = false;
+            if !self.runs[self.heap[0]].advance()? {
+                self.heap.swap_remove(0);
             }
+            self.sift_down(0);
+        }
+        let Some(&top) = self.heap.first() else {
+            return Ok(None);
         };
-        self.produced.set(self.produced.get() + 1);
-        Some(pair)
+        self.handed = true;
+        self.produced += 1;
+        let run = &self.runs[top];
+        let bytes = run.bytes();
+        Ok(Some((&bytes[run.key.clone()], &bytes[run.value.clone()])))
     }
 }
 
-/// Error and overflow signals latched by [`ColumnTee`] while it runs
-/// inside the bulk loader's iterator (which cannot carry a `Result`).
-struct TeeState {
-    error: Option<MorphError>,
-    overflowed: Vec<TypeId>,
-}
-
-/// One type's column under construction inside the tee.
-struct ColBuild {
-    t: TypeId,
-    width: usize,
-    comps: Vec<u32>,
-    offsets: Vec<u32>,
-    texts: String,
-    dropped: bool,
-}
-
-/// Wraps the sorted `typeseq` merge and builds each type's column from
-/// the same pass, persisting its segment the moment the type's key
-/// range ends — the streaming analogue of `persist_all_columns`. The
-/// decode mirrors [`decode_typeseq_column`] entry for entry (including
-/// its malformed-entry skips), so the persisted bytes are identical to
-/// what a post-shred decode would produce. A column that outgrows
-/// `cap` is abandoned mid-build and recorded for a bounded per-type
-/// fallback after the merge. Only a shred that persists columns runs
-/// the tee.
-struct ColumnTee<'a, I> {
-    inner: I,
-    cur: Option<ColBuild>,
-    state: &'a RefCell<TeeState>,
+/// The column side of [`ColumnTee`]: builds each type's column as its
+/// key range streams past and persists the segment the moment the range
+/// ends. A column that outgrows `cap` is abandoned mid-build and
+/// recorded in `overflowed` for a bounded per-type decode after the
+/// merge.
+struct ColumnSink<'a> {
+    /// The type whose range is streaming, and its column; `None` once
+    /// the column outgrew `cap`.
+    cur: Option<(TypeId, Option<ColumnBuilder>)>,
     store: &'a Store,
     types: &'a TypeTable,
     generation: u64,
     cap: usize,
+    overflowed: Vec<TypeId>,
 }
 
-impl<I> ColumnTee<'_, I> {
-    fn finalize(&mut self) {
-        let Some(b) = self.cur.take() else { return };
-        if b.dropped {
-            self.state.borrow_mut().overflowed.push(b.t);
-            return;
-        }
-        let col = TypeColumn::from_parts(b.width, b.comps, b.offsets, b.texts);
-        if let Err(e) = self
-            .store
-            .put_segment(
-                &colseg::segment_name(b.t),
-                &col.encode_segment(self.generation),
-            )
-            .in_op("persist column segment")
-        {
-            let mut st = self.state.borrow_mut();
-            if st.error.is_none() {
-                st.error = Some(e);
+impl ColumnSink<'_> {
+    fn finish_type(&mut self) -> StoreResult<()> {
+        match self.cur.take() {
+            Some((t, Some(col))) => self.store.put_segment(
+                &colseg::segment_name(t),
+                &col.finish().encode_segment(self.generation),
+            ),
+            Some((t, None)) => {
+                self.overflowed.push(t);
+                Ok(())
             }
+            None => Ok(()),
         }
     }
 
-    fn absorb(&mut self, k: &[u8], v: &[u8]) {
-        if self.state.borrow().error.is_some() {
-            return;
-        }
-        let Some(tb) = k.get(0..4) else { return };
+    #[inline]
+    fn absorb(&mut self, k: &[u8], v: &[u8]) -> StoreResult<()> {
+        let Some(tb) = k.get(0..4) else {
+            return Ok(());
+        };
         let t = TypeId(u32::from_be_bytes(tb.try_into().unwrap()));
-        match &self.cur {
-            Some(b) if b.t == t => {}
-            _ => {
-                self.finalize();
-                self.cur = Some(ColBuild {
-                    t,
-                    width: self.types.dewey_len(t),
-                    comps: Vec::new(),
-                    offsets: vec![0],
-                    texts: String::new(),
-                    dropped: false,
-                });
+        if !matches!(self.cur, Some((c, _)) if c == t) {
+            self.finish_type()?;
+            self.cur = Some((t, Some(ColumnBuilder::new(self.types.dewey_len(t)))));
+        }
+        let Some((_, slot)) = &mut self.cur else {
+            unreachable!("column build installed above")
+        };
+        if let Some(col) = slot {
+            col.push(&k[4..], v);
+            if col.heap_bytes() > self.cap {
+                *slot = None;
             }
         }
-        let b = self.cur.as_mut().expect("column build installed above");
-        if b.dropped {
-            return;
-        }
-        let mark = b.comps.len();
-        if !decode_components_into(&k[4..], &mut b.comps) || b.comps.len() - mark != b.width {
-            b.comps.truncate(mark);
-            return;
-        }
-        match std::str::from_utf8(v) {
-            Ok(text) => b.texts.push_str(text),
-            Err(_) => {
-                b.comps.truncate(mark);
-                return;
-            }
-        }
-        b.offsets.push(b.texts.len() as u32);
-        if b.comps.len() * 4 + b.offsets.len() * 4 + b.texts.len() > self.cap {
-            b.comps = Vec::new();
-            b.offsets = Vec::new();
-            b.texts = String::new();
-            b.dropped = true;
-        }
+        Ok(())
     }
 }
 
-impl<I: Iterator<Item = (Vec<u8>, Vec<u8>)>> Iterator for ColumnTee<'_, I> {
-    type Item = (Vec<u8>, Vec<u8>);
+/// The sorted `typeseq` stream on its way to the bulk loader, teed
+/// through a [`ColumnSink`] when the shred persists columns, so their
+/// segments come out of the same pass — the streaming analogue of
+/// `persist_all_columns`. An error writing a segment ends the load.
+struct ColumnTee<'a> {
+    merge: MergeStream,
+    cols: Option<ColumnSink<'a>>,
+}
 
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.inner.next() {
-            Some((k, v)) => {
-                self.absorb(&k, &v);
-                Some((k, v))
-            }
-            None => {
-                self.finalize();
-                None
+impl BulkSource for ColumnTee<'_> {
+    fn next(&mut self) -> StoreResult<Option<(&[u8], &[u8])>> {
+        let pair = self.merge.next()?;
+        if let Some(cols) = &mut self.cols {
+            match pair {
+                Some((k, v)) => cols.absorb(k, v)?,
+                None => cols.finish_type()?,
             }
         }
+        Ok(pair)
     }
 }
 
 /// One pass over a SAX-style event stream: assign Dewey numbers, grow
 /// the adorned shape, and emit each vertex's `nodes` and `typeseq`
-/// entries through the two sinks. O(depth) state of its own — the
-/// sinks decide whether entries accumulate, spill, or insert directly.
+/// entries through the two sinks. O(depth) state of its own, and no
+/// allocation per entry: the open elements share one encoded Dewey and
+/// one text buffer, and every key and value is encoded into a reused
+/// buffer the sinks borrow. The sinks decide whether entries
+/// accumulate, spill, or insert directly.
 fn drive_parse<E: EventSource>(
     reader: &mut E,
     builder: &mut ShapeBuilder,
-    mut node: impl FnMut(Vec<u8>, Vec<u8>) -> MorphResult<()>,
-    mut tyseq: impl FnMut(Vec<u8>, Vec<u8>) -> MorphResult<()>,
+    mut node: impl FnMut(&[u8], &[u8]) -> MorphResult<()>,
+    mut tyseq: impl FnMut(&[u8], &[u8]) -> MorphResult<()>,
 ) -> MorphResult<()> {
     struct Frame {
-        dewey: Dewey,
         type_id: TypeId,
         next_ordinal: u32,
-        text: String,
+        /// Where this element's direct text starts in `texts`.
+        text_start: usize,
     }
     let mut stack: Vec<Frame> = Vec::new();
+    // The encoded Dewey of the innermost open element (its `nodes`
+    // key): four big-endian bytes per component.
+    let mut dewey: Vec<u8> = Vec::new();
+    // The direct text of every open element, innermost last: a child's
+    // text is cut off when it closes, so its parent's resumes.
+    let mut texts = String::new();
+    let (mut key, mut value) = (Vec::new(), Vec::new());
+    let mut emit = |t: TypeId, dewey: &[u8], text: &str| -> MorphResult<()> {
+        node_value_into(&mut value, t, text);
+        node(dewey, &value)?;
+        typeseq_key_into(&mut key, t, dewey);
+        tyseq(&key, text.as_bytes())
+    };
     loop {
         match reader.next_event()? {
             XmlEvent::StartElement { name, attrs } => {
                 let type_id = builder.open(&name);
-                let dewey = match stack.last_mut() {
+                let ordinal = match stack.last_mut() {
                     Some(parent) => {
                         parent.next_ordinal += 1;
-                        parent.dewey.child(parent.next_ordinal)
+                        parent.next_ordinal
                     }
-                    None => Dewey::root(),
+                    None => 1,
                 };
+                dewey.extend_from_slice(&ordinal.to_be_bytes());
                 let mut frame = Frame {
-                    dewey,
                     type_id,
                     next_ordinal: 0,
-                    text: String::new(),
+                    text_start: texts.len(),
                 };
                 // Attributes become child vertices, numbered first.
                 for (aname, avalue) in &attrs {
                     let at = builder.attribute(aname);
                     frame.next_ordinal += 1;
-                    let ad = frame.dewey.child(frame.next_ordinal);
-                    node(ad.encode(), node_value(at, avalue))?;
-                    tyseq(typeseq_key(at, &ad), avalue.as_bytes().to_vec())?;
+                    dewey.extend_from_slice(&frame.next_ordinal.to_be_bytes());
+                    emit(at, &dewey, avalue)?;
+                    dewey.truncate(dewey.len() - 4);
                 }
                 stack.push(frame);
             }
             XmlEvent::Text(t) => {
-                if let Some(frame) = stack.last_mut() {
-                    frame.text.push_str(&t);
+                if !stack.is_empty() {
+                    texts.push_str(&t);
                 }
             }
             XmlEvent::EndElement { .. } => {
                 let frame = stack.pop().expect("balanced events");
                 builder.close();
-                let text = frame.text.trim();
-                node(frame.dewey.encode(), node_value(frame.type_id, text))?;
-                tyseq(
-                    typeseq_key(frame.type_id, &frame.dewey),
-                    text.as_bytes().to_vec(),
-                )?;
+                emit(frame.type_id, &dewey, texts[frame.text_start..].trim())?;
+                texts.truncate(frame.text_start);
+                dewey.truncate(dewey.len() - 4);
             }
             XmlEvent::Comment(_) | XmlEvent::ProcessingInstruction { .. } => {}
             XmlEvent::Eof => return Ok(()),
@@ -1611,13 +1750,11 @@ impl ShreddedDoc {
             reader,
             &mut builder,
             |k, v| {
-                nodes.insert(&k, &v).in_op("insert into tree \"nodes\"")?;
+                nodes.insert(k, v).in_op("insert into tree \"nodes\"")?;
                 Ok(())
             },
             |k, v| {
-                typeseq
-                    .insert(&k, &v)
-                    .in_op("insert into tree \"typeseq\"")?;
+                typeseq.insert(k, v).in_op("insert into tree \"typeseq\"")?;
                 Ok(())
             },
         )?;
@@ -1634,13 +1771,14 @@ impl ShreddedDoc {
     }
 
     /// The bulk path, an external sort: entries accumulate in run
-    /// buffers, full runs are sorted and spilled to temporary store
-    /// segments, and a k-way merge feeds the sorted stream straight
-    /// into the bottom-up tree packer — with the `typeseq` pass teed
+    /// arenas, full runs are sorted and spilled to temporary store
+    /// segments, and a k-way merge lends the sorted stream straight
+    /// to the bottom-up tree packer — with the `typeseq` pass teed
     /// through the column builder when columns persist, so their
     /// segments come out of the same scan. Peak tracked memory is
     /// proportional to the budget, not the document; an unbounded
-    /// budget never spills, and the merge is the in-memory sort. Trees
+    /// budget spills only past 4 GiB a stream, so the merge is the
+    /// in-memory sort. Trees
     /// are opened only after the parse succeeds, so a malformed
     /// document leaves them untouched.
     fn shred_bulk<E: EventSource>(
@@ -1654,7 +1792,7 @@ impl ShreddedDoc {
             names: RefCell::new(Vec::new()),
         };
         // Halve the budget across the two sorted streams, and halve
-        // again so a full run buffer plus its transient spill image
+        // again so a full run arena plus its spill image
         // (or, later, the merge tail plus one column under
         // construction) stay inside each stream's share. The floor
         // keeps a degenerate budget from spilling per-entry runs.
@@ -1678,56 +1816,50 @@ impl ShreddedDoc {
         let (generation, stale) = plan_generation(&meta)?;
 
         let expect_nodes = node_runs.count;
-        let produced = Cell::new(0u64);
-        let merge = node_runs.into_merge(&produced)?;
+        let mut merge = node_runs.into_merge()?;
         nodes
-            .bulk_load(merge, DEFAULT_FILL)
+            .bulk_load(&mut merge, DEFAULT_FILL)
             .in_op("bulk-load tree \"nodes\"")?;
-        if produced.get() != expect_nodes {
+        if merge.produced != expect_nodes {
             return Err(MorphError::Internal("shred run lost entries in merge"));
         }
+        drop(merge);
 
         let persist = persist_columns && store.is_persistent();
         let expect_tyseq = tyseq_runs.count;
-        let produced = Cell::new(0u64);
-        let state = RefCell::new(TeeState {
-            error: None,
-            overflowed: Vec::new(),
-        });
-        let merge = tyseq_runs.into_merge(&produced)?;
-        if persist {
-            let tee = ColumnTee {
-                inner: merge,
+        let mut tee = ColumnTee {
+            merge: tyseq_runs.into_merge()?,
+            cols: persist.then(|| ColumnSink {
                 cur: None,
-                state: &state,
                 store,
                 types: shape.types(),
                 generation,
                 cap: per,
-            };
-            typeseq.bulk_load(tee, DEFAULT_FILL)
-        } else {
-            typeseq.bulk_load(merge, DEFAULT_FILL)
-        }
-        .in_op("bulk-load tree \"typeseq\"")?;
-        if produced.get() != expect_tyseq {
+                overflowed: Vec::new(),
+            }),
+        };
+        typeseq
+            .bulk_load(&mut tee, DEFAULT_FILL)
+            .in_op("bulk-load tree \"typeseq\"")?;
+        if tee.merge.produced != expect_tyseq {
             return Err(MorphError::Internal("shred run lost entries in merge"));
         }
-        let state = state.into_inner();
-        if let Some(e) = state.error {
-            return Err(e);
-        }
+        let overflowed = tee.cols.map(|c| c.overflowed).unwrap_or_default();
+        drop(tee.merge);
+        // The runs go before the meta lands, so a failed delete fails a
+        // shred that has not published its document yet.
+        guard.release()?;
 
         commit_meta(&meta, &shape, generation, &stale)?;
-        drop(guard); // success: delete the spilled runs
         let doc = Self::fresh_doc(store, nodes, typeseq, meta, shape, generation);
         if persist {
             // Columns too large for the tee's slice of the budget fall
             // back to a per-type decode — bounded by the largest
             // single column, not the document — and are not cached.
-            for t in state.overflowed {
+            for t in overflowed {
                 let width = doc.shape.types().dewey_len(t);
-                let col = decode_typeseq_column(&doc.typeseq, width, t);
+                let col = decode_typeseq_column(&doc.typeseq, width, t)
+                    .in_op("decode overflowed column")?;
                 store
                     .put_segment(&colseg::segment_name(t), &col.encode_segment(generation))
                     .in_op("persist column segment")?;
@@ -1974,29 +2106,39 @@ impl ShreddedDoc {
     /// `typeseq` range (one sequential scan) when the segment is
     /// missing, stale, or corrupt. Malformed `typeseq` entries are
     /// skipped, matching the lenient decoding of the scans this
-    /// replaces.
+    /// replaces. A read error in that decode serves an empty column
+    /// for this one call, cached nowhere, and is listed among the
+    /// [`ShreddedDoc::segment_fallbacks`].
     pub fn column(&self, t: TypeId) -> Arc<TypeColumn> {
+        self.try_column(t).unwrap_or_else(|_| self.empty_column(t))
+    }
+
+    /// [`ShreddedDoc::column`], with a read error as an error. Nothing
+    /// is cached and no pending delta settles when the load fails.
+    pub(in crate::store) fn try_column(&self, t: TypeId) -> StoreResult<Arc<TypeColumn>> {
         // Settle deferred maintenance first: the lock is held across
         // the merge so a concurrent reader can't serve the stale
         // column while this one folds the pending delta in. The merge
         // is idempotent, so a base rebuilt from the already-mutated
         // typeseq (cache evicted since the mutation) is fine too.
         let mut pending = self.pending_deltas.lock().unwrap();
-        if let Some(delta) = pending.remove(&t) {
-            let base = match self.columns.read().unwrap().get(&t) {
-                Some(col) => Arc::clone(col),
-                None => Arc::new(self.load_column(t)),
+        if let Some(delta) = pending.get(&t) {
+            let cached = self.columns.read().unwrap().get(&t).cloned();
+            let base = match cached {
+                Some(col) => col,
+                None => Arc::new(self.load_column(t)?),
             };
-            let merged = Arc::new(super::mutate::merged_column(&base, &delta));
+            let merged = Arc::new(super::mutate::merged_column(&base, delta));
+            pending.remove(&t);
             self.columns.write().unwrap().insert(t, Arc::clone(&merged));
             self.merged_columns.fetch_add(1, Ordering::Relaxed);
-            return merged;
+            return Ok(merged);
         }
         drop(pending);
         if let Some(col) = self.columns.read().unwrap().get(&t) {
-            return Arc::clone(col);
+            return Ok(Arc::clone(col));
         }
-        let built = Arc::new(self.load_column(t));
+        let built = Arc::new(self.load_column(t)?);
         let mut map = self.columns.write().unwrap();
         let col = Arc::clone(map.entry(t).or_insert(built));
         let budget = self.column_budget.load(Ordering::Relaxed);
@@ -2008,7 +2150,13 @@ impl ShreddedDoc {
             let pinned = Self::pinned_beyond(&map, &self.shared);
             Self::enforce_budget(&mut map, budget.saturating_sub(pinned), t);
         }
-        col
+        Ok(col)
+    }
+
+    /// The column of a type with no rows, served in place of one whose
+    /// load failed.
+    fn empty_column(&self, t: TypeId) -> Arc<TypeColumn> {
+        Arc::new(ColumnBuilder::new(self.shape.types().dewey_len(t)).finish())
     }
 
     /// The current column-cache budget, if bounded.
@@ -2096,7 +2244,7 @@ impl ShreddedDoc {
             .unwrap_or(self.generation)
     }
 
-    fn load_column(&self, t: TypeId) -> TypeColumn {
+    fn load_column(&self, t: TypeId) -> StoreResult<TypeColumn> {
         self.shared.load_column(
             &self.store,
             &self.typeseq,
@@ -2111,7 +2259,7 @@ impl ShreddedDoc {
     /// [`ShredOptions::persist_columns`]).
     fn persist_all_columns(&self) -> MorphResult<()> {
         for t in self.shape.types().ids() {
-            let col = self.column(t);
+            let col = self.try_column(t).in_op("load column to persist")?;
             let name = colseg::segment_name(t);
             let bytes = col.encode_segment(self.generation);
             self.store
@@ -2129,7 +2277,7 @@ impl ShreddedDoc {
     #[doc(hidden)]
     pub fn persist_all_columns_v1(&self) -> MorphResult<()> {
         for t in self.shape.types().ids() {
-            let col = self.column(t);
+            let col = self.try_column(t).in_op("load column to persist")?;
             let name = colseg::segment_name(t);
             let bytes = colseg::encode_v1(
                 col.width,
@@ -2162,8 +2310,8 @@ impl ShreddedDoc {
 
     /// Persisted column segments that failed validation on this handle
     /// or on any snapshot it published, and fell back to a lazy
-    /// rebuild, as `"segment: reason"` lines. Empty in healthy
-    /// operation.
+    /// rebuild, as `"segment: reason"` lines, and rebuilds that failed
+    /// to read `typeseq`. Empty in healthy operation.
     pub fn segment_fallbacks(&self) -> Vec<String> {
         self.shared.fallbacks.lock().unwrap().clone()
     }
@@ -2475,11 +2623,17 @@ impl Snapshot {
         // Segments validate against the generations frozen at publication.
         let generation = self.tygens.get(&t).copied().unwrap_or(self.generation);
         let width = self.version.shape.types().dewey_len(t);
-        let built = self
+        match self
             .shared
-            .load_column(&self.store, &self.typeseq, width, generation, t);
-        let mut map = self.columns.write().unwrap();
-        Arc::clone(map.entry(t).or_insert(Arc::new(built)))
+            .load_column(&self.store, &self.typeseq, width, generation, t)
+        {
+            Ok(built) => {
+                let mut map = self.columns.write().unwrap();
+                Arc::clone(map.entry(t).or_insert(Arc::new(built)))
+            }
+            // Served for this call only; the next touch loads again.
+            Err(_) => Arc::new(ColumnBuilder::new(width).finish()),
+        }
     }
 
     /// All instances of a type at the snapshot's epoch, in document
@@ -2557,7 +2711,10 @@ impl Snapshot {
         child_type: TypeId,
     ) -> Option<(Arc<TypeColumn>, Range<usize>)> {
         let (l, col) = self.join_plan(parent_type, child_type)?;
-        debug_assert_eq!(parent.len(), self.version.shape.types().dewey_len(parent_type));
+        debug_assert_eq!(
+            parent.len(),
+            self.version.shape.types().dewey_len(parent_type)
+        );
         let range = col.prefix_range(&parent.components()[..l.min(parent.len())]);
         Some((col, range))
     }
@@ -2663,7 +2820,10 @@ impl Snapshot {
         let Some((l, _)) = self.join_plan(parent_type, child_type) else {
             return Vec::new();
         };
-        debug_assert_eq!(parent.len(), self.version.shape.types().dewey_len(parent_type));
+        debug_assert_eq!(
+            parent.len(),
+            self.version.shape.types().dewey_len(parent_type)
+        );
         let prefix = parent.prefix(l);
         let mut key = Vec::with_capacity(4 + prefix.len() * 4);
         key.extend_from_slice(&child_type.0.to_be_bytes());
@@ -3369,14 +3529,19 @@ mod tests {
         // Fragments rejected before any edit leave the shape alone; the
         // update after them moves the epoch, so the next publication
         // really compares edit counts.
-        assert!(doc.insert_subtree(&"1.1".parse().unwrap(), "<award>").is_err());
+        assert!(doc
+            .insert_subtree(&"1.1".parse().unwrap(), "<award>")
+            .is_err());
         assert!(doc
             .insert_subtree_before(&"1.1".parse().unwrap(), "<book><title>")
             .is_err());
         doc.update_text(&"1.2.1".parse().unwrap(), "W").unwrap();
         let s2 = doc.snapshot();
         assert!(s2.epoch() > s1.epoch());
-        assert!(shared(&s1, &s2), "a rejected fragment keeps the shape version");
+        assert!(
+            shared(&s1, &s2),
+            "a rejected fragment keeps the shape version"
+        );
         type Write = fn(&mut ShreddedDoc);
         let writes: [(&str, Write); 3] = [
             ("insert", |doc| {
@@ -3397,7 +3562,10 @@ mod tests {
             write(&mut doc);
             let after = doc.snapshot();
             assert!(after.epoch() > before.epoch(), "{what}");
-            assert!(!shared(&before, &after), "{what} must start a new shape version");
+            assert!(
+                !shared(&before, &after),
+                "{what} must start a new shape version"
+            );
         }
     }
 
@@ -3482,6 +3650,116 @@ mod tests {
         }
         std::fs::remove_file(&p1).ok();
         std::fs::remove_file(&p2).ok();
+    }
+
+    /// The `(key, value)` records of one spilled run, in order.
+    fn run_records(store: &Store, name: &str) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let data = store.get_segment(name, false).unwrap().unwrap();
+        let mut out = Vec::new();
+        let mut pos = 0;
+        while pos < data.len() {
+            let (k, v) = record_at(&data, pos).expect("whole record");
+            pos = v.end;
+            out.push((data[k].to_vec(), data[v].to_vec()));
+        }
+        out
+    }
+
+    #[test]
+    fn torn_run_is_a_typed_error_and_leaves_no_runs() {
+        let store = Store::in_memory();
+        {
+            let guard = RunGuard {
+                store: &store,
+                names: RefCell::new(Vec::new()),
+            };
+            let mut runs = RunSpiller::new(&store, &guard, "n", 4096);
+            for i in 0u32..2000 {
+                runs.push(&i.to_be_bytes(), b"some value").unwrap();
+            }
+            assert!(runs.runs.len() > 2, "the stream spilled");
+            // Cut the second run short, mid-record.
+            let name = runs.runs[1].clone();
+            let data = store.get_segment(&name, false).unwrap().unwrap();
+            store.put_segment(&name, &data[..data.len() - 3]).unwrap();
+            let mut merge = runs.into_merge().unwrap();
+            let loaded = store
+                .open_tree("t")
+                .unwrap()
+                .bulk_load(&mut merge, DEFAULT_FILL);
+            assert!(
+                matches!(loaded, Err(StoreError::Corrupt(why)) if why.contains("cut short")),
+                "a torn run must fail the load at its record: {loaded:?}"
+            );
+        }
+        assert!(store
+            .segment_entries()
+            .unwrap()
+            .iter()
+            .all(|(n, _)| !n.starts_with(RUN_SEG_PREFIX)));
+    }
+
+    #[test]
+    fn record_over_the_budget_spills_as_a_run_of_its_own() {
+        let store = Store::in_memory();
+        let guard = RunGuard {
+            store: &store,
+            names: RefCell::new(Vec::new()),
+        };
+        let big = vec![b'x'; 64 << 10];
+        let mut runs = RunSpiller::new(&store, &guard, "t", 4096);
+        for i in 0u32..300 {
+            runs.push(&i.to_be_bytes(), b"small").unwrap();
+        }
+        runs.push(&300u32.to_be_bytes(), &big).unwrap();
+        for i in 301u32..600 {
+            runs.push(&i.to_be_bytes(), b"small").unwrap();
+        }
+        let spilled: Vec<_> = runs.runs.iter().map(|n| run_records(&store, n)).collect();
+        assert!(spilled.iter().all(|run| !run.is_empty()), "no empty run");
+        let alone: Vec<_> = spilled
+            .iter()
+            .filter(|run| run.iter().any(|(_, v)| *v == big))
+            .collect();
+        assert_eq!(alone.len(), 1);
+        assert_eq!(alone[0].len(), 1, "the big record is a run of its own");
+        // Every record arrives once, in order, through the merge.
+        let mut merge = runs.into_merge().unwrap();
+        let mut keys = Vec::new();
+        while let Some((k, _)) = merge.next().unwrap() {
+            keys.push(u32::from_be_bytes(k.try_into().unwrap()));
+        }
+        assert_eq!(keys, (0u32..600).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn text_over_the_budget_shreds_like_an_unbounded_shred() {
+        let big = "y".repeat(64 << 10);
+        let mut xml = String::from("<lib>");
+        for i in 0..400 {
+            xml.push_str(&format!("<book><title>T{i}</title></book>"));
+            if i == 200 {
+                xml.push_str(&format!("<book><title>{big}</title></book>"));
+            }
+        }
+        xml.push_str("</lib>");
+        let dump = |store: &Store, opts: &ShredOptions| {
+            let d = ShreddedDoc::shred_str_with(store, &xml, opts).unwrap();
+            (
+                d.nodes.scan_prefix(&[]).collect::<Vec<_>>(),
+                d.typeseq.scan_prefix(&[]).collect::<Vec<_>>(),
+                d.shape().to_bytes(),
+            )
+        };
+        let unbounded = dump(&Store::in_memory(), &ShredOptions::default());
+        let store = Store::in_memory();
+        let tight = dump(&store, &ShredOptions::builder().memory_budget(1));
+        assert!(unbounded == tight, "the budget-1 shred differs");
+        assert!(store
+            .segment_entries()
+            .unwrap()
+            .iter()
+            .all(|(n, _)| !n.starts_with(RUN_SEG_PREFIX)));
     }
 
     #[test]

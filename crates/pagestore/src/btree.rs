@@ -58,6 +58,45 @@ pub const DEFAULT_FILL: f64 = 0.9;
 /// Values whose cell would exceed this many bytes spill to overflow pages.
 const MAX_CELL: usize = 1000;
 
+/// The key-sorted input of [`BTree::bulk_load`]: a lending iterator
+/// whose pairs borrow the source until the next call, so an
+/// out-of-core merge can hand its entries straight from its run
+/// buffers to the loader without copying them. An error ends the load
+/// with that error.
+pub trait BulkSource {
+    /// The next pair in key order, or `None` at the end of the input.
+    fn next(&mut self) -> StoreResult<Option<(&[u8], &[u8])>>;
+}
+
+impl<S: BulkSource + ?Sized> BulkSource for &mut S {
+    fn next(&mut self) -> StoreResult<Option<(&[u8], &[u8])>> {
+        (**self).next()
+    }
+}
+
+/// A [`BulkSource`] over owned `(key, value)` pairs — a `Vec` of them
+/// or any other iterator.
+pub struct OwnedPairs<I> {
+    iter: I,
+    cur: Option<(Vec<u8>, Vec<u8>)>,
+}
+
+impl<I: Iterator<Item = (Vec<u8>, Vec<u8>)>> OwnedPairs<I> {
+    pub fn new(pairs: impl IntoIterator<IntoIter = I>) -> Self {
+        OwnedPairs {
+            iter: pairs.into_iter(),
+            cur: None,
+        }
+    }
+}
+
+impl<I: Iterator<Item = (Vec<u8>, Vec<u8>)>> BulkSource for OwnedPairs<I> {
+    fn next(&mut self) -> StoreResult<Option<(&[u8], &[u8])>> {
+        self.cur = self.iter.next();
+        Ok(self.cur.as_ref().map(|(k, v)| (k.as_slice(), v.as_slice())))
+    }
+}
+
 const TAG_LEAF: u8 = 1;
 const TAG_INTERIOR: u8 = 2;
 const TAG_OVERFLOW: u8 = 3;
@@ -332,15 +371,19 @@ impl<'a> BTree<'a> {
     /// interior node the moment its child set is complete. Peak memory
     /// is one open node per tree level — the pairs iterator can
     /// therefore be an out-of-core merge producing far more entries
-    /// than fit in memory.
+    /// than fit in memory. Pairs are borrowed from the source and copied
+    /// once, into the open leaf: the loop allocates per page, not per
+    /// entry.
     ///
     /// Keys must be strictly increasing (duplicates included) or the
-    /// load aborts with [`StoreError::Corrupt`]. `fill_factor` is
-    /// clamped to `[0.5, 1.0]`; see [`DEFAULT_FILL`].
-    pub fn bulk_load<I>(pool: &'a BufferPool, pairs: I, fill_factor: f64) -> StoreResult<Self>
-    where
-        I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
-    {
+    /// load aborts with [`StoreError::Corrupt`]; an error from the
+    /// source aborts it with that error. `fill_factor` is clamped to
+    /// `[0.5, 1.0]`; see [`DEFAULT_FILL`].
+    pub fn bulk_load<S: BulkSource>(
+        pool: &'a BufferPool,
+        mut pairs: S,
+        fill_factor: f64,
+    ) -> StoreResult<Self> {
         let budget = (((PAGE_SIZE - HDR) as f64) * fill_factor.clamp(0.5, 1.0)) as usize;
         // One open node per interior level; `levels[0]` parents the
         // leaves. A node buffers its leftmost child and routing cells
@@ -417,20 +460,27 @@ impl<'a> BTree<'a> {
         };
         // Page reserved for `cur` by the previous leaf's sibling link.
         let mut cur_page: Option<PageId> = None;
+        // The previous key, copied for the order check.
         let mut last_key: Option<Vec<u8>> = None;
-        for (key, value) in pairs {
+        while let Some((key, value)) = pairs.next()? {
             if key.len() > MAX_KEY_LEN {
                 return Err(StoreError::KeyTooLarge(key.len()));
             }
-            if let Some(prev) = &last_key {
-                if prev.as_slice() >= key.as_slice() {
+            match &mut last_key {
+                Some(prev) if prev.as_slice() >= key => {
                     return Err(StoreError::Corrupt("bulk_load input not strictly sorted"));
                 }
+                Some(prev) => {
+                    prev.clear();
+                    prev.extend_from_slice(key);
+                }
+                None => last_key = Some(key.to_vec()),
             }
             let vlen = value.len();
-            let (stored, flags) = if leaf_cell_size(key.len(), vlen) > MAX_CELL {
-                let head = write_overflow(pool, &value)?;
-                (head.to_le_bytes().to_vec(), FLAG_OVERFLOW)
+            let head;
+            let (stored, flags): (&[u8], u8) = if leaf_cell_size(key.len(), vlen) > MAX_CELL {
+                head = write_overflow(pool, value)?.to_le_bytes();
+                (&head, FLAG_OVERFLOW)
             } else {
                 (value, 0u8)
             };
@@ -461,16 +511,15 @@ impl<'a> BTree<'a> {
                 cur_page = Some(next);
             }
             if cur.sizes.is_empty() {
-                cur.first = key.clone();
+                cur.first = key.to_vec();
             }
             cur.flat.push(flags);
             cur.flat
                 .extend_from_slice(&(key.len() as u16).to_le_bytes());
             cur.flat.extend_from_slice(&(vlen as u32).to_le_bytes());
-            cur.flat.extend_from_slice(&key);
-            cur.flat.extend_from_slice(&stored);
+            cur.flat.extend_from_slice(key);
+            cur.flat.extend_from_slice(stored);
             cur.sizes.push(size as u16);
-            last_key = Some(key);
         }
         if cur.sizes.is_empty() {
             // Empty input (a flush is always followed by the entry that

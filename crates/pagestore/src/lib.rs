@@ -54,7 +54,7 @@ pub mod storage;
 pub mod store;
 pub mod wal;
 
-pub use btree::DEFAULT_FILL;
+pub use btree::{BulkSource, OwnedPairs, DEFAULT_FILL};
 pub use buffer::{default_shard_count, BufferPool, DEFAULT_CAPACITY, MAX_SHARDS};
 pub use error::{StoreError, StoreResult};
 pub use fault::{FaultHandle, FaultScript, FaultStorage, TORN_BLOCK};

@@ -1,7 +1,7 @@
 //! The public façade: a [`Store`] of named [`Tree`]s plus named raw
 //! [`crate::segment`]s, configured through the [`StoreOptions`] builder.
 
-use crate::btree::{BTree, RangeIter};
+use crate::btree::{BTree, BulkSource, RangeIter};
 use crate::buffer::{BufferPool, DEFAULT_CAPACITY};
 use crate::error::{StoreError, StoreResult};
 use crate::pager::{FreeExtent, PageId, Pager, META_PAGE};
@@ -754,14 +754,20 @@ impl Tree {
     /// previous root's pages are abandoned — the same write-once policy
     /// as overflow replacement; the shredder bulk-loads into freshly
     /// created trees, where nothing is lost.
-    pub fn bulk_load<I>(&self, pairs: I, fill_factor: f64) -> StoreResult<()>
-    where
-        I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
-    {
+    pub fn bulk_load<S: BulkSource>(&self, pairs: S, fill_factor: f64) -> StoreResult<()> {
         let mut root = self.root.lock();
         let bt = BTree::bulk_load(&self.pool, pairs, fill_factor)?;
         *root = bt.root();
         self.pool.set_tree_root(&self.name, *root)
+    }
+
+    /// Re-read the root from the catalog. A rolled-back transaction
+    /// restores the catalog but not the root a live handle cached, so a
+    /// handle whose writes rolled back reloads it.
+    pub fn reload_root(&self) {
+        if let Some(root) = self.pool.tree_root(&self.name) {
+            *self.root.lock() = root;
+        }
     }
 
     /// Look up a key.

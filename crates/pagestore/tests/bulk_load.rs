@@ -7,7 +7,7 @@
 //! exactly.
 
 use proptest::prelude::*;
-use xmorph_pagestore::{Store, DEFAULT_FILL};
+use xmorph_pagestore::{OwnedPairs, Store, DEFAULT_FILL};
 
 /// Sorted, deduplicated key/value pairs over a tiny alphabet (so prefix
 /// collisions and shared separators actually happen), with value sizes
@@ -39,7 +39,7 @@ proptest! {
         let fill = fill_pct as f64 / 100.0;
         let bulk_store = Store::in_memory();
         let bulk = bulk_store.open_tree("t").unwrap();
-        bulk.bulk_load(pairs.clone(), fill).unwrap();
+        bulk.bulk_load(OwnedPairs::new(pairs.clone()), fill).unwrap();
 
         let inc_store = Store::in_memory();
         let inc = inc_store.open_tree("t").unwrap();
@@ -69,7 +69,7 @@ fn bulk_load_builds_multi_level_tree() {
     let pairs: Vec<_> = (0u32..5000)
         .map(|i| (i.to_be_bytes().to_vec(), i.to_le_bytes().to_vec()))
         .collect();
-    t.bulk_load(pairs, 0.6).unwrap();
+    t.bulk_load(OwnedPairs::new(pairs), 0.6).unwrap();
     assert_eq!(t.len().unwrap(), 5000);
     assert_eq!(
         t.get(&2500u32.to_be_bytes()).unwrap(),
@@ -85,9 +85,11 @@ fn bulk_load_rejects_unsorted_or_duplicate_input() {
     let store = Store::in_memory();
     let t = store.open_tree("t").unwrap();
     let unsorted = vec![(b"b".to_vec(), Vec::new()), (b"a".to_vec(), Vec::new())];
-    assert!(t.bulk_load(unsorted, DEFAULT_FILL).is_err());
+    assert!(t
+        .bulk_load(OwnedPairs::new(unsorted), DEFAULT_FILL)
+        .is_err());
     let dup = vec![(b"a".to_vec(), Vec::new()), (b"a".to_vec(), Vec::new())];
-    assert!(t.bulk_load(dup, DEFAULT_FILL).is_err());
+    assert!(t.bulk_load(OwnedPairs::new(dup), DEFAULT_FILL).is_err());
 }
 
 #[test]
@@ -95,8 +97,11 @@ fn bulk_load_spills_large_values_to_overflow() {
     let store = Store::in_memory();
     let t = store.open_tree("t").unwrap();
     let big = vec![7u8; 50_000];
-    t.bulk_load(vec![(b"k".to_vec(), big.clone())], DEFAULT_FILL)
-        .unwrap();
+    t.bulk_load(
+        OwnedPairs::new(vec![(b"k".to_vec(), big.clone())]),
+        DEFAULT_FILL,
+    )
+    .unwrap();
     assert_eq!(t.get(b"k").unwrap(), Some(big));
 }
 
@@ -104,7 +109,8 @@ fn bulk_load_spills_large_values_to_overflow() {
 fn bulk_load_empty_input_yields_empty_tree() {
     let store = Store::in_memory();
     let t = store.open_tree("t").unwrap();
-    t.bulk_load(Vec::new(), DEFAULT_FILL).unwrap();
+    t.bulk_load(OwnedPairs::new(Vec::new()), DEFAULT_FILL)
+        .unwrap();
     assert_eq!(t.len().unwrap(), 0);
     assert_eq!(t.range(..).count(), 0);
 }

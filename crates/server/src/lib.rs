@@ -21,7 +21,7 @@
 //!   answers overload with `BUSY`, and shuts down by draining in-flight
 //!   work before closing every store.
 //! * [`client`] — a thin blocking [`Client`] used by the CLI, the
-//!   end-to-end tests, and the `fig_serve` bench driver.
+//!   end-to-end tests, and xbench's serving workloads.
 //!
 //! ```no_run
 //! use xmorph_core::Engine;
