@@ -23,7 +23,6 @@ use crate::error::MorphResult;
 use crate::model::types::TypeId;
 use crate::semantics::shape::{SId, Shape};
 use crate::store::shredded::{ClosestCursor, ShreddedDoc, Snapshot, TypeColumn};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use xmorph_xml::dewey::Dewey;
@@ -58,10 +57,11 @@ impl Default for RenderOptions {
 }
 
 /// Where a rendered element anchors its closest joins: the nearest
-/// enclosing *source-backed* instance.
+/// enclosing *source-backed* instance, as its column row's Dewey
+/// components.
 #[derive(Clone, Copy)]
 struct Anchor<'d> {
-    dewey: &'d Dewey,
+    row: &'d [u32],
     type_id: TypeId,
 }
 
@@ -113,13 +113,9 @@ fn render_with(
     opts: &RenderOptions,
     mut emit: impl FnMut(&str) -> MorphResult<()>,
 ) -> MorphResult<()> {
-    let mut renderer = Renderer {
-        doc,
-        target,
-        opts,
-        cursors: HashMap::new(),
-        root_batch: None,
-    };
+    let mut renderer = Renderer::new(doc, target, opts, None);
+    // One buffer serves every root instance: each is handed to `emit`
+    // borrowed and the buffer cleared, keeping its capacity.
     let mut w = StreamWriter::with_capacity(4096);
     if let Some(wrapper) = &opts.wrapper {
         w.start(wrapper);
@@ -153,15 +149,10 @@ pub(crate) fn render_root_slice(
     rows: Range<usize>,
     out: &mut String,
 ) -> MorphResult<()> {
-    let mut renderer = Renderer {
-        doc,
-        target,
-        opts,
-        cursors: HashMap::new(),
-        root_batch: opts
-            .pipelined
-            .then(|| RootBatch::build(doc, target, root, root_type, col, rows.clone())),
-    };
+    let batch = opts
+        .pipelined
+        .then(|| RootBatch::build(doc, target, root, root_type, col, rows.clone()));
+    let mut renderer = Renderer::new(doc, target, opts, batch);
     // Every instance renders balanced, so the rows share one buffer,
     // the caller's, which grows in place: a large result is never
     // copied from a per-instance buffer into the output.
@@ -170,10 +161,9 @@ pub(crate) fn render_root_slice(
         if let Some(b) = renderer.root_batch.as_mut() {
             b.current = i;
         }
-        let dewey = col.dewey(i);
-        renderer.render_instance(root, &dewey, root_type, col.text(i), &mut w)?;
+        renderer.render_instance(root, col.components(i), root_type, col.text(i), &mut w)?;
     }
-    *out = w.drain();
+    *out = w.finish();
     Ok(())
 }
 
@@ -186,16 +176,10 @@ pub(crate) fn render_root_plain(
     opts: &RenderOptions,
     root: SId,
 ) -> MorphResult<String> {
-    let mut renderer = Renderer {
-        doc,
-        target,
-        opts,
-        cursors: HashMap::new(),
-        root_batch: None,
-    };
+    let mut renderer = Renderer::new(doc, target, opts, None);
     let mut w = StreamWriter::with_capacity(4096);
     renderer.render_new(root, None, &mut w)?;
-    Ok(w.drain())
+    Ok(w.finish())
 }
 
 /// A resolved closest-join group. The pipelined path hands back a row
@@ -214,10 +198,10 @@ impl Joined {
         }
     }
 
-    fn dewey(&self, i: usize) -> Dewey {
+    fn row(&self, i: usize) -> &[u32] {
         match self {
-            Joined::Columnar(c, r) => c.dewey(r.start + i),
-            Joined::Owned(v) => v[i].0.clone(),
+            Joined::Columnar(c, r) => c.components(r.start + i),
+            Joined::Owned(v) => v[i].0.components(),
         }
     }
 
@@ -243,8 +227,10 @@ struct RootBatch {
     lo: usize,
     /// Row index of the instance currently rendering.
     current: usize,
-    /// Per direct edge: child column plus one group range per instance.
-    groups: HashMap<SId, (Arc<TypeColumn>, Vec<Range<usize>>)>,
+    /// Per target node, indexed by [`SId`]: for a direct edge, the
+    /// child column plus one group range per instance.
+    #[allow(clippy::type_complexity)]
+    groups: Vec<Option<(Arc<TypeColumn>, Vec<Range<usize>>)>>,
 }
 
 impl RootBatch {
@@ -257,15 +243,13 @@ impl RootBatch {
         rows: Range<usize>,
     ) -> RootBatch {
         let node = &target.nodes[root];
-        let mut groups = HashMap::new();
+        let mut groups = vec![None; target.nodes.len()];
         for &c in node.children.iter().chain(node.filters.iter()) {
             if let Some(ct) = target.nodes[c].base {
                 // Unrelated pairs stay absent: the per-instance paths
-                // fall back to their probe, which answers "no group"
+                // fall back to their cursor, which answers "no group"
                 // the same way.
-                if let Some(batch) = doc.closest_group_batch(col, rows.clone(), root_type, ct) {
-                    groups.insert(c, batch);
-                }
+                groups[c] = doc.closest_group_batch(col, rows.clone(), root_type, ct);
             }
         }
         RootBatch {
@@ -282,23 +266,52 @@ impl RootBatch {
         if anchor_type != self.root_type {
             return None;
         }
-        let (col, ranges) = self.groups.get(&node)?;
+        let (col, ranges) = self.groups[node].as_ref()?;
         Some((col, ranges[self.current - self.lo].clone()))
     }
 }
 
+/// The join state of one target edge, kept in the slot of its child
+/// node: the anchor type it was resolved for, and its cursor — or
+/// `None` when the pair is unrelated in the data, so a miss is
+/// resolved once too.
+struct Edge {
+    anchor_type: TypeId,
+    cursor: Option<ClosestCursor>,
+}
+
+/// The render loop. Rows are borrowed component slices, names and
+/// children are read through the borrowed target shape, and every join
+/// is addressed by the child node's [`SId`], so rendering an instance
+/// allocates nothing and hashes nothing.
 struct Renderer<'a> {
     doc: &'a Snapshot,
     target: &'a Shape,
     opts: &'a RenderOptions,
-    /// One pipelined join cursor per (target node, anchor type) edge.
-    cursors: HashMap<(SId, TypeId), ClosestCursor>,
+    /// Per target node, indexed by [`SId`]: the join state of the edge
+    /// into it, resolved on first use.
+    cursors: Vec<Option<Edge>>,
     /// Batched groups for the root currently rendering (pipelined mode
     /// with a source-backed root only).
     root_batch: Option<RootBatch>,
 }
 
 impl<'a> Renderer<'a> {
+    fn new(
+        doc: &'a Snapshot,
+        target: &'a Shape,
+        opts: &'a RenderOptions,
+        root_batch: Option<RootBatch>,
+    ) -> Self {
+        Renderer {
+            doc,
+            target,
+            opts,
+            cursors: target.nodes.iter().map(|_| None).collect(),
+            root_batch,
+        }
+    }
+
     /// Render all instances of a root, draining the writer to `emit`
     /// after each instance so output streams in document order.
     fn render_root_streaming(
@@ -318,96 +331,116 @@ impl<'a> Renderer<'a> {
                     if let Some(b) = self.root_batch.as_mut() {
                         b.current = i;
                     }
-                    let dewey = col.dewey(i);
-                    self.render_instance(root, &dewey, t, col.text(i), w)?;
-                    emit(&w.drain())?;
+                    self.render_instance(root, col.components(i), t, col.text(i), w)?;
+                    w.drain_to(&mut *emit)?;
                 }
                 self.root_batch = None;
             }
             None => {
                 self.render_new(root, None, w)?;
-                emit(&w.drain())?;
+                w.drain_to(&mut *emit)?;
             }
         }
         Ok(())
     }
 
-    /// Pull the closest children of `anchor` for target edge `node`
-    /// through the edge's pipelined cursor. Returns an owned handle (the
-    /// recursion below re-enters the cursor map), but the group contents
-    /// stay in the shared column.
+    /// The closest-join group of target edge `node` under `anchor`:
+    /// the root batch's precomputed group when there is one, otherwise
+    /// the edge's cursor — advanced when anchors arrive in document
+    /// order (`in_order`), probed afresh when they do not. `None` when
+    /// the pair is unrelated in the data.
+    fn group(
+        &mut self,
+        node: SId,
+        anchor: Anchor<'_>,
+        child_type: TypeId,
+        in_order: bool,
+    ) -> Option<(Arc<TypeColumn>, Range<usize>)> {
+        if let Some((col, range)) = self
+            .root_batch
+            .as_ref()
+            .and_then(|b| b.group(node, anchor.type_id))
+        {
+            return Some((Arc::clone(col), range));
+        }
+        let edge = self.cursors[node].get_or_insert_with(|| Edge {
+            anchor_type: anchor.type_id,
+            cursor: self.doc.closest_cursor(anchor.type_id, child_type),
+        });
+        if edge.anchor_type != anchor.type_id {
+            // A target node sits at one place in the shape tree, so its
+            // anchor type never changes; were it to, a probe still
+            // answers correctly.
+            return self
+                .doc
+                .closest_group_row(anchor.row, anchor.type_id, child_type);
+        }
+        let cursor = edge.cursor.as_mut()?;
+        let range = if in_order {
+            cursor.group_for_row(anchor.row)
+        } else {
+            cursor.probe_row(anchor.row)
+        };
+        Some((Arc::clone(cursor.column()), range))
+    }
+
+    /// Pull the closest children of `anchor` for target edge `node`.
+    /// Returns an owned handle (the recursion below re-enters the
+    /// cursors), but the group contents stay in the shared column.
     fn joined(&mut self, node: SId, anchor: Anchor<'_>, child_type: TypeId) -> Joined {
         if !self.opts.pipelined {
             return Joined::Owned(self.doc.closest_children_btree(
-                anchor.dewey,
+                &Dewey::from_slice(anchor.row),
                 anchor.type_id,
                 child_type,
             ));
         }
-        // Root-level edges were resolved up front for the whole slice.
-        if let Some(batch) = &self.root_batch {
-            if let Some((col, range)) = batch.group(node, anchor.type_id) {
-                return Joined::Columnar(Arc::clone(col), range);
-            }
+        match self.group(node, anchor, child_type, true) {
+            Some((col, range)) => Joined::Columnar(col, range),
+            None => Joined::Owned(Vec::new()),
         }
-        let key = (node, anchor.type_id);
-        if !self.cursors.contains_key(&key) {
-            match self.doc.closest_cursor(anchor.type_id, child_type) {
-                Some(c) => {
-                    self.cursors.insert(key, c);
-                }
-                None => return Joined::Owned(Vec::new()),
-            }
-        }
-        let cursor = self.cursors.get_mut(&key).expect("cursor just ensured");
-        let range = cursor.group_for(anchor.dewey);
-        Joined::Columnar(Arc::clone(cursor.column()), range)
     }
 
     /// Render one instance of a source-backed target node.
     fn render_instance(
         &mut self,
         node: SId,
-        dewey: &Dewey,
+        row: &[u32],
         type_id: TypeId,
         text: &str,
         w: &mut StreamWriter,
     ) -> MorphResult<()> {
-        let anchor = Anchor { dewey, type_id };
+        let target = self.target;
+        let tnode = &target.nodes[node];
+        let anchor = Anchor { row, type_id };
         // RESTRICT: the instance must have a closest match for every
         // filter.
-        for &f in &self.target.nodes[node].filters {
+        for &f in &tnode.filters {
             if !self.passes_filter(f, anchor) {
                 return Ok(());
             }
         }
-        let name = self.target.nodes[node].name.clone();
-        let is_attr = name.starts_with('@');
-        if is_attr {
-            // An attribute type promoted to an element: strip the '@'.
-            w.start(name.trim_start_matches('@'));
-        } else {
-            w.start(&name);
-        }
+        // An attribute type promoted to an element: strip the '@'.
+        w.start(tnode.name.trim_start_matches('@'));
         // Attribute children first (they must precede content).
-        let children: Vec<SId> = self.target.nodes[node].children.clone();
-        for &c in &children {
-            let cname = self.target.nodes[c].name.clone();
-            if cname.starts_with('@') {
-                if let Some(ct) = self.target.nodes[c].base {
-                    let group = self.joined(c, anchor, ct);
-                    for i in 0..group.len() {
-                        w.attr(cname.trim_start_matches('@'), group.text(i));
-                    }
+        for &c in &tnode.children {
+            let child = &target.nodes[c];
+            if !child.name.starts_with('@') {
+                continue;
+            }
+            if let Some(ct) = child.base {
+                let group = self.joined(c, anchor, ct);
+                for i in 0..group.len() {
+                    w.attr(child.name.trim_start_matches('@'), group.text(i));
                 }
             }
         }
         if self.opts.tag_source {
-            w.attr("data-src", &dewey.to_string());
+            w.attr("data-src", &Dewey::from_slice(row).to_string());
         }
         w.text(text);
-        for &c in &children {
-            if !self.target.nodes[c].name.starts_with('@') {
+        for &c in &tnode.children {
+            if !target.nodes[c].name.starts_with('@') {
                 self.render_child(c, anchor, w)?;
             }
         }
@@ -427,8 +460,7 @@ impl<'a> Renderer<'a> {
             Some(ct) => {
                 let group = self.joined(node, anchor, ct);
                 for i in 0..group.len() {
-                    let dewey = group.dewey(i);
-                    self.render_instance(node, &dewey, ct, group.text(i), w)?;
+                    self.render_instance(node, group.row(i), ct, group.text(i), w)?;
                 }
                 Ok(())
             }
@@ -451,15 +483,16 @@ impl<'a> Renderer<'a> {
         anchor: Option<Anchor<'_>>,
         w: &mut StreamWriter,
     ) -> MorphResult<()> {
-        let name = self.target.nodes[node].name.clone();
-        let children: Vec<SId> = self.target.nodes[node].children.clone();
+        let target = self.target;
+        let name = &target.nodes[node].name;
+        let children = &target.nodes[node].children;
         let primary = children
             .iter()
             .copied()
-            .find(|&c| self.target.nodes[c].base.is_some());
+            .find(|&c| target.nodes[c].base.is_some());
         match primary {
             Some(primary_child) => {
-                let pt = self.target.nodes[primary_child]
+                let pt = target.nodes[primary_child]
                     .base
                     .expect("source-backed child");
                 let instances = match anchor {
@@ -471,14 +504,11 @@ impl<'a> Renderer<'a> {
                     }
                 };
                 for i in 0..instances.len() {
-                    let dewey = instances.dewey(i);
-                    w.start(&name);
-                    self.render_instance(primary_child, &dewey, pt, instances.text(i), w)?;
-                    let inner = Anchor {
-                        dewey: &dewey,
-                        type_id: pt,
-                    };
-                    for &c in &children {
+                    let row = instances.row(i);
+                    w.start(name);
+                    self.render_instance(primary_child, row, pt, instances.text(i), w)?;
+                    let inner = Anchor { row, type_id: pt };
+                    for &c in children {
                         if c != primary_child {
                             self.render_child(c, inner, w)?;
                         }
@@ -489,14 +519,14 @@ impl<'a> Renderer<'a> {
             None => {
                 // No source-backed child: one wrapper (per parent
                 // instance — the caller already iterates parents).
-                w.start(&name);
+                w.start(name);
                 if let Some(a) = anchor {
-                    for &c in &children {
+                    for &c in children {
                         self.render_child(c, a, w)?;
                     }
                 } else {
-                    for &c in &children {
-                        if self.target.nodes[c].base.is_none() {
+                    for &c in children {
+                        if target.nodes[c].base.is_none() {
                             self.render_new(c, None, w)?;
                         }
                     }
@@ -510,36 +540,23 @@ impl<'a> Renderer<'a> {
     /// Recursive RESTRICT filter check: some closest instance of the
     /// filter type exists and itself satisfies the filter's children.
     /// Root-level filters read their precomputed batch group; deeper
-    /// filters use direct prefix-scan joins (they probe out of document
-    /// order, so the pipelined cursors do not apply).
-    fn passes_filter(&self, filter: SId, anchor: Anchor<'_>) -> bool {
-        let Some(ft) = self.target.nodes[filter].base else {
+    /// filters probe through their edge's cursor without advancing it
+    /// (they probe out of document order, so the pipelined sweep does
+    /// not apply).
+    fn passes_filter(&mut self, filter: SId, anchor: Anchor<'_>) -> bool {
+        let fnode = &self.target.nodes[filter];
+        let Some(ft) = fnode.base else {
             // A NEW filter can never match data.
             return false;
         };
-        let fnode = &self.target.nodes[filter];
-        let batched = self
-            .root_batch
-            .as_ref()
-            .and_then(|b| b.group(filter, anchor.type_id))
-            .map(|(col, range)| (Arc::clone(col), range));
-        if fnode.children.is_empty() && fnode.filters.is_empty() {
-            // A leaf filter is a pure existence test — probe the prefix
-            // range (or read the batched group), materialize nothing.
-            return match &batched {
-                Some((_, range)) => !range.is_empty(),
-                None => self.doc.has_closest_child(anchor.dewey, anchor.type_id, ft),
-            };
-        }
-        let Some((col, range)) =
-            batched.or_else(|| self.doc.closest_group(anchor.dewey, anchor.type_id, ft))
-        else {
+        let Some((col, range)) = self.group(filter, anchor, ft, false) else {
             return false;
         };
+        // A leaf filter passes on the group's first instance: a pure
+        // existence test.
         range.into_iter().any(|i| {
-            let dewey = col.dewey(i);
             let inner = Anchor {
-                dewey: &dewey,
+                row: col.components(i),
                 type_id: ft,
             };
             fnode

@@ -2405,8 +2405,14 @@ impl ClosestCursor {
     /// Row range of the closest children of `parent`. Parents must be
     /// presented in non-decreasing document order.
     pub fn group_for(&mut self, parent: &Dewey) -> Range<usize> {
-        let p = self.prefix_len.min(parent.len());
-        let want = &parent.components()[..p];
+        self.group_for_row(parent.components())
+    }
+
+    /// [`ClosestCursor::group_for`] on a parent given by its Dewey
+    /// components, as a column row holds them: the renderer's form, so
+    /// no Dewey is built per parent.
+    pub(crate) fn group_for_row(&mut self, parent: &[u32]) -> Range<usize> {
+        let want = &parent[..self.prefix_len.min(parent.len())];
         if self.has_group && self.group_prefix == want {
             return self.group.clone();
         }
@@ -2417,6 +2423,14 @@ impl ClosestCursor {
         self.group_prefix.extend_from_slice(want);
         self.has_group = true;
         range
+    }
+
+    /// Row range of the closest children of `parent` by a fresh probe
+    /// that leaves the cursor where it is — for parents that come out
+    /// of document order, such as the instances a RESTRICT filter tests.
+    pub(crate) fn probe_row(&self, parent: &[u32]) -> Range<usize> {
+        self.col
+            .prefix_range(&parent[..self.prefix_len.min(parent.len())])
     }
 }
 
@@ -2710,12 +2724,23 @@ impl Snapshot {
         parent_type: TypeId,
         child_type: TypeId,
     ) -> Option<(Arc<TypeColumn>, Range<usize>)> {
+        self.closest_group_row(parent.components(), parent_type, child_type)
+    }
+
+    /// [`Snapshot::closest_group`] on a parent given by its Dewey
+    /// components, as a column row holds them.
+    pub(crate) fn closest_group_row(
+        &self,
+        parent: &[u32],
+        parent_type: TypeId,
+        child_type: TypeId,
+    ) -> Option<(Arc<TypeColumn>, Range<usize>)> {
         let (l, col) = self.join_plan(parent_type, child_type)?;
         debug_assert_eq!(
             parent.len(),
             self.version.shape.types().dewey_len(parent_type)
         );
-        let range = col.prefix_range(&parent.components()[..l.min(parent.len())]);
+        let range = col.prefix_range(&parent[..l.min(parent.len())]);
         Some((col, range))
     }
 

@@ -77,9 +77,10 @@ impl XmarkConfig {
             self.units(),
             &mut |w: &mut StreamWriter| {
                 if w.len() >= FLUSH_AT {
-                    let chunk = w.drain();
-                    written += chunk.len() as u64;
-                    out.write_all(chunk.as_bytes())?;
+                    w.drain_to(|chunk| {
+                        written += chunk.len() as u64;
+                        out.write_all(chunk.as_bytes())
+                    })?;
                 }
                 Ok(())
             },

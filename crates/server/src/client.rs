@@ -7,9 +7,10 @@
 //! surfaces as [`Reply::Busy`] for the caller to back off on.
 
 use crate::proto::{
-    read_frame, write_frame, AppliedPayload, DeletePayload, ErrorCode, ErrorPayload, InsertPayload,
-    OpCode, ProtoError, QueryPayload, ResultPayload, StorePayload, UpdatePayload, WireStats,
-    DEFAULT_MAX_PAYLOAD, FLAG_NO_WRAPPER, FLAG_WANT_STATS, INSERT_MODE_APPEND, INSERT_MODE_BEFORE,
+    read_frame, read_header, read_payload, read_result_payload, write_frame, AppliedPayload,
+    DeletePayload, ErrorCode, ErrorPayload, InsertPayload, OpCode, ProtoError, QueryPayload,
+    StorePayload, UpdatePayload, WireStats, DEFAULT_MAX_PAYLOAD, FLAG_NO_WRAPPER, FLAG_WANT_STATS,
+    INSERT_MODE_APPEND, INSERT_MODE_BEFORE,
 };
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -194,10 +195,10 @@ impl Client {
         }
         .encode();
         write_frame(&mut self.stream, opcode, &payload)?;
-        let frame = read_frame(&mut self.stream, self.max_payload)?;
-        match frame.opcode {
+        let (header, opcode, len) = read_header(&mut self.stream, self.max_payload)?;
+        match opcode {
             OpCode::Result => {
-                let result = ResultPayload::decode_owned(frame.payload)?;
+                let result = read_result_payload(&mut self.stream, &header, len)?;
                 let stats = if opts.want_stats {
                     let stats_frame = read_frame(&mut self.stream, self.max_payload)?;
                     if stats_frame.opcode != OpCode::StatsReply {
@@ -213,7 +214,10 @@ impl Client {
                     stats,
                 })
             }
-            _ => self.non_result_reply(frame.opcode, &frame.payload),
+            _ => {
+                let frame = read_payload(&mut self.stream, &header, opcode, len)?;
+                self.non_result_reply(frame.opcode, &frame.payload)
+            }
         }
     }
 

@@ -339,10 +339,25 @@ pub fn parse_header(
 /// first header byte also reports [`ProtoError::Truncated`] — use the
 /// server's idle-aware reader when EOF-at-boundary must be told apart.
 pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<Frame, ProtoError> {
+    let (header, opcode, len) = read_header(r, max_payload)?;
+    read_payload(r, &header, opcode, len)
+}
+
+/// Read and validate one frame header, leaving its payload unread.
+/// Returns the header with its `(opcode, payload_len)`.
+pub fn read_header(
+    r: &mut impl Read,
+    max_payload: u64,
+) -> Result<([u8; HEADER_LEN], OpCode, u64), ProtoError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let (opcode, len) = parse_header(&header, max_payload)?;
-    read_payload(r, &header, opcode, len)
+    Ok((header, opcode, len))
+}
+
+/// The payload checksum a header declares.
+fn declared_payload_sum(header: &[u8; HEADER_LEN]) -> u64 {
+    u64::from_le_bytes(header[24..32].try_into().expect("slice len"))
 }
 
 /// Read and verify the payload for an already-parsed header.
@@ -354,11 +369,33 @@ pub fn read_payload(
 ) -> Result<Frame, ProtoError> {
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
-    let declared = u64::from_le_bytes(header[24..32].try_into().expect("slice len"));
-    if declared != fnv1a64(&payload) {
+    if declared_payload_sum(header) != fnv1a64(&payload) {
         return Err(ProtoError::PayloadChecksum);
     }
     Ok(Frame { opcode, payload })
+}
+
+/// Read the payload of an already-parsed `RESULT` header straight into
+/// a [`ResultPayload`]. The typing byte is read apart from the XML, so
+/// the XML lands in a buffer of its own and is never shifted down by
+/// one byte; the checksum still covers every payload byte.
+pub fn read_result_payload(
+    r: &mut impl Read,
+    header: &[u8; HEADER_LEN],
+    len: u64,
+) -> Result<ResultPayload, ProtoError> {
+    let mut typing = [0u8; 1];
+    let typing = &mut typing[..len.min(1) as usize];
+    r.read_exact(typing)?;
+    let mut xml = vec![0u8; (len - typing.len() as u64) as usize];
+    r.read_exact(&mut xml)?;
+    if declared_payload_sum(header) != fnv1a64_extend(fnv1a64(typing), &xml) {
+        return Err(ProtoError::PayloadChecksum);
+    }
+    match typing {
+        [typing] => ResultPayload::from_parts(*typing, xml),
+        _ => Err(ProtoError::BadPayload("typing")),
+    }
 }
 
 // ---- payload layouts ----
@@ -629,20 +666,30 @@ impl ResultPayload {
 
     /// Total decode.
     pub fn decode(bytes: &[u8]) -> Result<ResultPayload, ProtoError> {
-        ResultPayload::decode_owned(bytes.to_vec())
+        let (&typing, xml) = bytes
+            .split_first()
+            .ok_or(ProtoError::BadPayload("typing"))?;
+        ResultPayload::from_parts(typing, xml.to_vec())
     }
 
     /// [`ResultPayload::decode`] taking the payload by value: the XML
-    /// reuses its buffer instead of being copied out of it.
+    /// reuses its buffer, shifted down over the typing byte, instead of
+    /// being copied out of it. A reader that still holds the stream
+    /// should use [`read_result_payload`], which never shifts.
     pub fn decode_owned(mut bytes: Vec<u8>) -> Result<ResultPayload, ProtoError> {
         let Some(&typing) = bytes.first() else {
             return Err(ProtoError::BadPayload("typing"));
         };
+        bytes.remove(0);
+        ResultPayload::from_parts(typing, bytes)
+    }
+
+    /// Validate a typing byte and the XML bytes that follow it.
+    fn from_parts(typing: u8, xml: Vec<u8>) -> Result<ResultPayload, ProtoError> {
         if typing > 3 {
             return Err(ProtoError::BadPayload("typing code out of range"));
         }
-        bytes.remove(0);
-        let xml = String::from_utf8(bytes)
+        let xml = String::from_utf8(xml)
             .map_err(|_| ProtoError::BadPayload("result XML is not UTF-8"))?;
         Ok(ResultPayload { typing, xml })
     }

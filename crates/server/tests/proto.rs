@@ -5,9 +5,10 @@
 
 use proptest::prelude::*;
 use xmorph_server::proto::{
-    decode_stores, encode_frame, encode_stores, fnv1a64, read_frame, write_frame_parts, ErrorCode,
-    ErrorPayload, OpCode, ProtoError, QueryPayload, ResultPayload, StorePayload, WireStats,
-    DEFAULT_MAX_PAYLOAD, FLAG_NO_WRAPPER, FLAG_WANT_STATS, HEADER_LEN, PROTO_VERSION,
+    decode_stores, encode_frame, encode_stores, fnv1a64, read_frame, read_header,
+    read_result_payload, write_frame_parts, ErrorCode, ErrorPayload, OpCode, ProtoError,
+    QueryPayload, ResultPayload, StorePayload, WireStats, DEFAULT_MAX_PAYLOAD, FLAG_NO_WRAPPER,
+    FLAG_WANT_STATS, HEADER_LEN, PROTO_VERSION,
 };
 
 // ---- round trips ----
@@ -177,6 +178,60 @@ fn corrupt_payload_is_typed() {
         match read_frame(&mut corrupted.as_slice(), DEFAULT_MAX_PAYLOAD) {
             Err(ProtoError::PayloadChecksum) => {}
             other => panic!("flip at {byte}: expected PayloadChecksum, got {other:?}"),
+        }
+    }
+}
+
+/// A `RESULT` frame read the client's way: header, then the typing
+/// byte apart from the XML.
+fn read_result(bytes: &[u8]) -> Result<ResultPayload, ProtoError> {
+    let mut r = bytes;
+    let (header, opcode, len) = read_header(&mut r, DEFAULT_MAX_PAYLOAD)?;
+    assert_eq!(opcode, OpCode::Result);
+    read_result_payload(&mut r, &header, len)
+}
+
+fn result_frame() -> (ResultPayload, Vec<u8>) {
+    let result = ResultPayload {
+        typing: 2,
+        xml: "<r>é&amp;</r>".into(),
+    };
+    let frame = encode_frame(OpCode::Result, &result.encode());
+    (result, frame)
+}
+
+#[test]
+fn result_read_apart_from_its_typing_byte_matches_decode() {
+    let (result, frame) = result_frame();
+    assert_eq!(read_result(&frame).unwrap(), result);
+    let empty = encode_frame(OpCode::Result, &[]);
+    assert!(matches!(
+        read_result(&empty),
+        Err(ProtoError::BadPayload("typing"))
+    ));
+    let bad_typing = encode_frame(OpCode::Result, &[4, b'x']);
+    assert!(matches!(
+        read_result(&bad_typing),
+        Err(ProtoError::BadPayload(_))
+    ));
+}
+
+#[test]
+fn result_read_catches_every_payload_flip_and_cut() {
+    let (_, frame) = result_frame();
+    // The typing byte and every XML byte are under the checksum.
+    for byte in HEADER_LEN..frame.len() {
+        let mut corrupted = frame.clone();
+        corrupted[byte] ^= 0x01;
+        match read_result(&corrupted) {
+            Err(ProtoError::PayloadChecksum) => {}
+            other => panic!("flip at {byte}: expected PayloadChecksum, got {other:?}"),
+        }
+    }
+    for cut in HEADER_LEN..frame.len() {
+        match read_result(&frame[..cut]) {
+            Err(ProtoError::Truncated) => {}
+            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
         }
     }
 }

@@ -23,17 +23,40 @@ fn escape_with(s: &str, attr: bool) -> Cow<'_, str> {
         return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if attr => out.push_str("&quot;"),
-            '\'' if attr => out.push_str("&apos;"),
-            _ => out.push(c),
-        }
-    }
+    escape_into(&mut out, s, attr);
     Cow::Owned(out)
+}
+
+/// Append `s` to `out` escaped as [`escape_text`] would, in one pass:
+/// the runs between entities are copied straight across, so nothing is
+/// allocated beyond `out`'s own growth.
+pub fn escape_text_into(out: &mut String, s: &str) {
+    escape_into(out, s, false)
+}
+
+/// Append `s` to `out` escaped as [`escape_attr`] would, in one pass.
+pub fn escape_attr_into(out: &mut String, s: &str) {
+    escape_into(out, s, true)
+}
+
+fn escape_into(out: &mut String, s: &str, attr: bool) {
+    // Every escaped character is ASCII, so a cut next to one is always
+    // a UTF-8 boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if attr => "&quot;",
+            b'\'' if attr => "&apos;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Resolve a single entity name (the text between `&` and `;`) to its

@@ -1,7 +1,7 @@
 //! Serialization of [`Document`]s back to XML text.
 
 use crate::dom::{Document, NodeId, NodeKind};
-use crate::escape::{escape_attr, escape_text};
+use crate::escape::{escape_attr_into, escape_text_into};
 
 /// Output formatting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ fn has_element_children(doc: &Document, id: NodeId) -> bool {
 
 fn write_node(doc: &Document, id: NodeId, style: WriteStyle, indent: usize, out: &mut String) {
     match doc.kind(id) {
-        NodeKind::Text(t) => out.push_str(&escape_text(t)),
+        NodeKind::Text(t) => escape_text_into(out, t),
         NodeKind::Element { name, attrs } => {
             out.push('<');
             out.push_str(name);
@@ -46,7 +46,7 @@ fn write_node(doc: &Document, id: NodeId, style: WriteStyle, indent: usize, out:
                 out.push(' ');
                 out.push_str(k);
                 out.push_str("=\"");
-                out.push_str(&escape_attr(v));
+                escape_attr_into(out, v);
                 out.push('"');
             }
             let children = doc.all_children(id);
@@ -80,37 +80,30 @@ fn write_node(doc: &Document, id: NodeId, style: WriteStyle, indent: usize, out:
 
 /// A streaming XML writer for producing large documents without building a
 /// DOM. Used by the renderer and the workload generators.
-#[derive(Debug)]
+///
+/// Nothing is allocated per element: the names of the open elements live
+/// in one arena, and text and attribute values are escaped straight into
+/// the output buffer.
+#[derive(Debug, Default)]
 pub struct StreamWriter {
     out: String,
-    stack: Vec<String>,
+    /// Names of the open elements, concatenated outermost first.
+    names: String,
+    /// Where each open element's name starts in `names`.
+    starts: Vec<usize>,
     /// True when the current element has had its `>` written.
     open_tag_pending: bool,
-}
-
-impl Default for StreamWriter {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl StreamWriter {
     /// Create a writer with an empty buffer.
     pub fn new() -> Self {
-        StreamWriter {
-            out: String::new(),
-            stack: Vec::new(),
-            open_tag_pending: false,
-        }
+        Self::default()
     }
 
     /// Create a writer with pre-reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
-        StreamWriter {
-            out: String::with_capacity(cap),
-            stack: Vec::new(),
-            open_tag_pending: false,
-        }
+        Self::appending(String::with_capacity(cap))
     }
 
     /// Create a writer that continues after the text already in `out`,
@@ -118,8 +111,7 @@ impl StreamWriter {
     pub fn appending(out: String) -> Self {
         StreamWriter {
             out,
-            stack: Vec::new(),
-            open_tag_pending: false,
+            ..Self::default()
         }
     }
 
@@ -135,7 +127,8 @@ impl StreamWriter {
         self.close_pending();
         self.out.push('<');
         self.out.push_str(name);
-        self.stack.push(name.to_string());
+        self.starts.push(self.names.len());
+        self.names.push_str(name);
         self.open_tag_pending = true;
     }
 
@@ -146,7 +139,7 @@ impl StreamWriter {
         self.out.push(' ');
         self.out.push_str(name);
         self.out.push_str("=\"");
-        self.out.push_str(&escape_attr(value));
+        escape_attr_into(&mut self.out, value);
         self.out.push('"');
     }
 
@@ -156,25 +149,26 @@ impl StreamWriter {
             return;
         }
         self.close_pending();
-        self.out.push_str(&escape_text(t));
+        escape_text_into(&mut self.out, t);
     }
 
     /// Close the most recently opened element.
     pub fn end(&mut self) {
-        let name = self.stack.pop().expect("end() with no open element");
+        let start = self.starts.pop().expect("end() with no open element");
         if self.open_tag_pending {
             self.out.push_str("/>");
             self.open_tag_pending = false;
         } else {
             self.out.push_str("</");
-            self.out.push_str(&name);
+            self.out.push_str(&self.names[start..]);
             self.out.push('>');
         }
+        self.names.truncate(start);
     }
 
     /// Number of currently open elements.
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.starts.len()
     }
 
     /// Bytes written so far.
@@ -187,22 +181,25 @@ impl StreamWriter {
         self.out.is_empty()
     }
 
-    /// Drain the text buffered so far, keeping the open-element stack —
-    /// lets a caller stream completed fragments while elements remain
-    /// open. (Elements whose open tag was drained close with a full
-    /// `</name>` even when empty.)
-    pub fn drain(&mut self) -> String {
+    /// Hand the text buffered so far to `sink`, then clear the buffer,
+    /// keeping its capacity and the open-element stack — lets a caller
+    /// stream completed fragments through one buffer while elements
+    /// remain open. (Elements whose open tag was drained close with a
+    /// full `</name>` even when empty.)
+    pub fn drain_to<R>(&mut self, sink: impl FnOnce(&str) -> R) -> R {
         self.close_pending();
-        std::mem::take(&mut self.out)
+        let r = sink(&self.out);
+        self.out.clear();
+        r
     }
 
     /// Finish and return the XML text. Panics if elements are still open.
     pub fn finish(mut self) -> String {
         self.close_pending();
         assert!(
-            self.stack.is_empty(),
+            self.starts.is_empty(),
             "finish() with {} open element(s)",
-            self.stack.len()
+            self.starts.len()
         );
         self.out
     }
@@ -211,6 +208,7 @@ impl StreamWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::escape::{escape_attr, escape_text};
 
     #[test]
     fn compact_round_trip() {
@@ -284,5 +282,66 @@ mod tests {
         let mut w = StreamWriter::new();
         w.start("a");
         let _ = w.finish();
+    }
+
+    /// `s` written as text and as an attribute value, checked against
+    /// the borrowing escapers and against the expected escapes.
+    fn check_escapes(s: &str, text: &str, attr: &str) {
+        let mut w = StreamWriter::new();
+        w.start("a");
+        w.attr("v", s);
+        w.text(s);
+        w.end();
+        let out = w.finish();
+        assert_eq!(
+            out,
+            format!(r#"<a v="{}">{}</a>"#, escape_attr(s), escape_text(s))
+        );
+        assert_eq!(out, format!(r#"<a v="{attr}">{text}</a>"#));
+    }
+
+    #[test]
+    fn stream_writer_escapes_all_five_entities() {
+        check_escapes(
+            r#"a&b<c>d"e'f"#,
+            r#"a&amp;b&lt;c&gt;d"e'f"#,
+            "a&amp;b&lt;c&gt;d&quot;e&apos;f",
+        );
+    }
+
+    #[test]
+    fn stream_writer_escapes_text_that_is_only_entities() {
+        check_escapes(
+            r#"&<>"'"#,
+            r#"&amp;&lt;&gt;"'"#,
+            "&amp;&lt;&gt;&quot;&apos;",
+        );
+        check_escapes("&&", "&amp;&amp;", "&amp;&amp;");
+    }
+
+    #[test]
+    fn stream_writer_escapes_next_to_multibyte_utf8() {
+        check_escapes("é&☃<𝄞'", "é&amp;☃&lt;𝄞'", "é&amp;☃&lt;𝄞&apos;");
+        check_escapes("&ü>", "&amp;ü&gt;", "&amp;ü&gt;");
+    }
+
+    #[test]
+    fn stream_writer_drains_through_one_buffer() {
+        let mut w = StreamWriter::new();
+        let mut streamed = String::new();
+        w.start("r");
+        for i in 0..3 {
+            w.start("item");
+            w.text(&i.to_string());
+            w.end();
+            w.drain_to(|s| streamed.push_str(s));
+            assert!(w.is_empty());
+        }
+        w.end();
+        streamed.push_str(&w.finish());
+        assert_eq!(
+            streamed,
+            "<r><item>0</item><item>1</item><item>2</item></r>"
+        );
     }
 }
