@@ -108,7 +108,7 @@ fn check_image(image: Vec<u8>, crash_at: &str) -> Option<String> {
         Ok(s) => s,
         Err(_) => return None,
     };
-    let opts = OpenOptions::builder().persisted_columns(true).mmap(false);
+    let opts = OpenOptions::builder().persisted_columns(true);
     let doc = match ShreddedDoc::open_with(&store, &opts) {
         Ok(d) => d,
         Err(_) => return None,

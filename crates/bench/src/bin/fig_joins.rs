@@ -383,7 +383,7 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
     for &t in &by_count[..touched] {
         assert_eq!(
             doc.scan_type(t),
-            doc.scan_type_btree(t),
+            doc.scan_type_btree(t).unwrap(),
             "post-update merge divergence for {t:?}"
         );
     }
@@ -400,7 +400,7 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
         for (p, _) in &parents {
             assert_eq!(
                 snap.closest_children(p, pt, ct),
-                snap.closest_children_btree(p, pt, ct),
+                snap.closest_children_btree(p, pt, ct).unwrap(),
                 "post-update columnar/btree divergence at {p}"
             );
         }
@@ -453,7 +453,7 @@ fn bench_update(xml: &str, iters: usize) -> UpdateBench {
         for (p, _) in snap.scan_type(pt) {
             assert_eq!(
                 snap.closest_children(&p, pt, ct),
-                snap.closest_children_btree(&p, pt, ct),
+                snap.closest_children_btree(&p, pt, ct).unwrap(),
                 "post-vacuum columnar/btree divergence at {p}"
             );
         }
@@ -675,7 +675,7 @@ fn bench_joins(doc: &Snapshot, iters: usize) -> Vec<JoinBench> {
         for (p, _) in &parents {
             assert_eq!(
                 doc.closest_children(p, pt, ct),
-                doc.closest_children_btree(p, pt, ct),
+                doc.closest_children_btree(p, pt, ct).unwrap(),
                 "columnar/btree divergence at {p}"
             );
         }
@@ -724,7 +724,7 @@ fn bench_joins(doc: &Snapshot, iters: usize) -> Vec<JoinBench> {
         let mut touched_bt = 0usize;
         let btree = best_rate(iters, || {
             for (p, _) in &parents {
-                touched_bt += doc.closest_children_btree(p, pt, ct).len();
+                touched_bt += doc.closest_children_btree(p, pt, ct).unwrap().len();
             }
             parents.len()
         });

@@ -3,7 +3,7 @@
 
 use crate::model::card::{Card, CardMax};
 use crate::model::types::{TypeId, TypeTable};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use xmorph_xml::dom::Document;
 
@@ -343,9 +343,11 @@ fn build_rec(doc: &Document, node: xmorph_xml::NodeId, b: &mut ShapeBuilder) {
     b.close();
 }
 
+/// One open element: its type, and where its child counts start in
+/// [`ShapeBuilder`]'s `child_counts`.
 struct Frame {
     type_id: TypeId,
-    child_counts: HashMap<TypeId, u64>,
+    first_child: usize,
 }
 
 #[derive(Default, Clone, Copy)]
@@ -362,8 +364,18 @@ struct EdgeStat {
 pub struct ShapeBuilder {
     types: TypeTable,
     stack: Vec<Frame>,
-    edges: HashMap<TypeId, EdgeStat>,
-    counts: HashMap<TypeId, u64>,
+    /// `(child type, count)` per distinct child type of every open
+    /// element, innermost last: an element's entries start at its
+    /// frame's `first_child` and go when it closes.
+    child_counts: Vec<(TypeId, u64)>,
+    /// Per type id: where its count under the open parent sits in
+    /// `child_counts`, if it is still there. A type has one parent
+    /// type, and an open path never holds two instances of one type, so
+    /// one slot per type suffices and no lookup hashes.
+    count_slot: Vec<usize>,
+    /// Per type id: edge statistics and instance count.
+    edges: Vec<EdgeStat>,
+    counts: Vec<u64>,
     roots: Vec<TypeId>,
 }
 
@@ -379,8 +391,10 @@ impl ShapeBuilder {
         ShapeBuilder {
             types: TypeTable::new(),
             stack: Vec::new(),
-            edges: HashMap::new(),
-            counts: HashMap::new(),
+            child_counts: Vec::new(),
+            count_slot: Vec::new(),
+            edges: Vec::new(),
+            counts: Vec::new(),
             roots: Vec::new(),
         }
     }
@@ -400,13 +414,27 @@ impl ShapeBuilder {
                 id
             }
         };
-        if let Some(frame) = self.stack.last_mut() {
-            *frame.child_counts.entry(type_id).or_insert(0) += 1;
+        let i = type_id.index();
+        if i >= self.counts.len() {
+            self.count_slot.resize(i + 1, usize::MAX);
+            self.edges.resize(i + 1, EdgeStat::default());
+            self.counts.resize(i + 1, 0);
         }
-        *self.counts.entry(type_id).or_insert(0) += 1;
+        if let Some(frame) = self.stack.last() {
+            // Entries from `first_child` on belong to this parent.
+            let slot = self.count_slot[i];
+            match self.child_counts.get_mut(slot) {
+                Some((t, n)) if slot >= frame.first_child && *t == type_id => *n += 1,
+                _ => {
+                    self.count_slot[i] = self.child_counts.len();
+                    self.child_counts.push((type_id, 1));
+                }
+            }
+        }
+        self.counts[i] += 1;
         self.stack.push(Frame {
             type_id,
-            child_counts: HashMap::new(),
+            first_child: self.child_counts.len(),
         });
         type_id
     }
@@ -424,8 +452,8 @@ impl ShapeBuilder {
     /// statistics.
     pub fn close(&mut self) {
         let frame = self.stack.pop().expect("close without open");
-        for (child_type, count) in frame.child_counts {
-            let stat = self.edges.entry(child_type).or_default();
+        for &(child_type, count) in &self.child_counts[frame.first_child..] {
+            let stat = &mut self.edges[child_type.index()];
             stat.parents_with += 1;
             stat.max = stat.max.max(count);
             stat.min_nonzero = if stat.parents_with == 1 {
@@ -434,6 +462,7 @@ impl ShapeBuilder {
                 stat.min_nonzero.min(count)
             };
         }
+        self.child_counts.truncate(frame.first_child);
     }
 
     /// Current type on top of the stack (for the shredder).
@@ -453,10 +482,10 @@ impl ShapeBuilder {
         let mut edge_card = vec![Card::one(); n];
         let mut counts = vec![0u64; n];
         for id in self.types.ids() {
-            counts[id.index()] = self.counts.get(&id).copied().unwrap_or(0);
+            counts[id.index()] = self.counts.get(id.index()).copied().unwrap_or(0);
             if let Some(parent) = self.types.parent(id) {
-                let stat = self.edges.get(&id).copied().unwrap_or_default();
-                let parent_instances = self.counts.get(&parent).copied().unwrap_or(0);
+                let stat = self.edges.get(id.index()).copied().unwrap_or_default();
+                let parent_instances = self.counts.get(parent.index()).copied().unwrap_or(0);
                 let min = if stat.parents_with < parent_instances {
                     0
                 } else {

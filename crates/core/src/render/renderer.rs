@@ -387,18 +387,18 @@ impl<'a> Renderer<'a> {
     /// Pull the closest children of `anchor` for target edge `node`.
     /// Returns an owned handle (the recursion below re-enters the
     /// cursors), but the group contents stay in the shared column.
-    fn joined(&mut self, node: SId, anchor: Anchor<'_>, child_type: TypeId) -> Joined {
+    fn joined(&mut self, node: SId, anchor: Anchor<'_>, child_type: TypeId) -> MorphResult<Joined> {
         if !self.opts.pipelined {
-            return Joined::Owned(self.doc.closest_children_btree(
+            return Ok(Joined::Owned(self.doc.closest_children_btree(
                 &Dewey::from_slice(anchor.row),
                 anchor.type_id,
                 child_type,
-            ));
+            )?));
         }
-        match self.group(node, anchor, child_type, true) {
+        Ok(match self.group(node, anchor, child_type, true) {
             Some((col, range)) => Joined::Columnar(col, range),
             None => Joined::Owned(Vec::new()),
-        }
+        })
     }
 
     /// Render one instance of a source-backed target node.
@@ -429,7 +429,7 @@ impl<'a> Renderer<'a> {
                 continue;
             }
             if let Some(ct) = child.base {
-                let group = self.joined(c, anchor, ct);
+                let group = self.joined(c, anchor, ct)?;
                 for i in 0..group.len() {
                     w.attr(child.name.trim_start_matches('@'), group.text(i));
                 }
@@ -458,7 +458,7 @@ impl<'a> Renderer<'a> {
     ) -> MorphResult<()> {
         match self.target.nodes[node].base {
             Some(ct) => {
-                let group = self.joined(node, anchor, ct);
+                let group = self.joined(node, anchor, ct)?;
                 for i in 0..group.len() {
                     self.render_instance(node, group.row(i), ct, group.text(i), w)?;
                 }
@@ -496,7 +496,7 @@ impl<'a> Renderer<'a> {
                     .base
                     .expect("source-backed child");
                 let instances = match anchor {
-                    Some(a) => self.joined(primary_child, a, pt),
+                    Some(a) => self.joined(primary_child, a, pt)?,
                     None => {
                         let col = self.doc.column(pt);
                         let n = col.len();

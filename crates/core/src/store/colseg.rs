@@ -70,6 +70,7 @@
 
 use crate::model::types::TypeId;
 use std::ops::Range;
+use xmorph_pagestore::checksum::{fnv1a64, fnv1a64_parts};
 
 /// Magic bytes opening a v1 (uncompressed) column segment.
 pub const COLSEG_MAGIC: &[u8; 8] = b"XMCOL001";
@@ -85,24 +86,6 @@ pub const COLSEG_HEADER: usize = 64;
 /// Name of the pagestore segment holding `t`'s column.
 pub(crate) fn segment_name(t: TypeId) -> String {
     format!("col.{}", t.0)
-}
-
-/// 64-bit FNV-1a.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_parts(&[bytes])
-}
-
-/// 64-bit FNV-1a over the concatenation of `parts` (without
-/// materializing it).
-fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 // ---- varint primitives ----

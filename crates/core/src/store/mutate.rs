@@ -1,7 +1,17 @@
 //! The document mutation write path: in-place subtree insertion,
 //! subtree deletion, and text updates on a [`ShreddedDoc`], with
-//! incremental maintenance of every derived structure — the `nodes`
-//! and `typeseq` trees, the adorned shape, and the per-type columns.
+//! incremental maintenance of every derived structure — the `typeseq`
+//! tree, the adorned shape, and the per-type columns.
+//!
+//! Fig. 8's `Nodes` table has no tree of its own here: `typeseq` holds
+//! each vertex once, and a Dewey number's type comes from a walk of the
+//! shape over it ([`ShreddedDoc::node_type`]). Since all instances of a
+//! type share one depth, every question the writer asks about a node's
+//! children is one `typeseq` probe per child type of the node: the
+//! occupant of a label, the last child ordinal, the ordinal gap before
+//! a sibling. A subtree is one prefix range per descendant type, and
+//! the walk descends only into types whose range held rows; a delete
+//! removes each range with one [`Tree::delete_prefix`].
 //!
 //! The seed store was write-once: the only way to change a document
 //! was a full re-shred, which bumped the store-wide column generation
@@ -36,14 +46,15 @@
 //!   deleted type and lowers `min` accordingly. Bounds never tighten
 //!   on mutation, so every shape-level theorem that held before a
 //!   mutation still holds after it.
-//! * **Every cost is local.** The next ordinal is one seek for the
-//!   parent's last key, sibling counts are per-leaf binary searches
+//! * **Every cost is local.** The next ordinal is one seek per child
+//!   type of the parent, sibling counts are per-leaf binary searches
 //!   ([`Tree::count_prefix`]), and the shape persists as one small
 //!   `meta["shape." ‖ type id]` row per type whose card or count moved
 //!   (or that was interned), not as a rewrite of the whole shape. A
 //!   structural mutation therefore costs O(log n + the rows it changes).
 //!
 //! [`Tree::count_prefix`]: xmorph_pagestore::Tree::count_prefix
+//! [`Tree::delete_prefix`]: xmorph_pagestore::Tree::delete_prefix
 //!
 //! Mutations take `&mut self`: the borrow checker serializes writers
 //! against readers on the same handle. Concurrent readers go through
@@ -82,8 +93,7 @@ use crate::model::shape::AdornedShape;
 use crate::model::types::TypeId;
 use crate::store::colseg;
 use crate::store::shredded::{
-    node_value, parse_node_value, shape_row_key, tygen_key, typeseq_key, typeseq_key_into,
-    ShreddedDoc, TypeColumn,
+    shape_row_key, tygen_key, typeseq_key, typeseq_key_into, ShreddedDoc, TypeColumn,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
@@ -331,28 +341,19 @@ impl ShreddedDoc {
     }
 
     fn update_text_inner(&mut self, dewey: &Dewey, text: &str) -> MorphResult<()> {
-        let key = dewey.encode();
-        let value = self
-            .nodes
-            .get(&key)
-            .in_op("read tree \"nodes\"")?
-            .ok_or_else(|| mutation_err(format!("no node {dewey}")))?;
-        let (t, _) = parse_node_value(&value).ok_or(MorphError::Internal("corrupt nodes entry"))?;
+        let t = self.node_type_required(dewey)?;
         let text = text.trim();
         // Snapshot protocol: exclude snapshot lazy loads for the span
         // of the tree writes, and pin the pre-mutation column into
         // every live snapshot before the first write lands.
         let shared = Arc::clone(&self.shared);
         let _gate = shared.gate.write().unwrap();
-        self.cow_pin([t]);
-        // One logical mutation = one store transaction: both table
-        // writes and the per-type maintenance land atomically, and an
-        // error path rolls the lot back (the txn guard's Drop) before
+        self.cow_pin([t])?;
+        // One logical mutation = one store transaction: the tree write
+        // and the per-type maintenance land atomically, and an error
+        // path rolls the lot back (the txn guard's Drop) before
         // anything in memory moved.
         let txn = self.store.begin().in_op("begin mutation transaction")?;
-        self.nodes
-            .insert(&key, &node_value(t, text))
-            .in_op("update tree \"nodes\"")?;
         self.typeseq
             .insert(&typeseq_key(t, dewey), text.as_bytes())
             .in_op("update tree \"typeseq\"")?;
@@ -380,41 +381,29 @@ impl ShreddedDoc {
         if dewey.len() <= 1 {
             return Err(mutation_err("cannot delete the document root"));
         }
-        let prefix = dewey.encode();
-        let mut victims: Vec<(Vec<u8>, TypeId)> = Vec::new();
-        // `next_entry`, not the `Iterator` impl: a read error must fail
-        // the delete here, before anything is written, rather than end
-        // the scan early and commit a partial delete.
-        let mut scan = self.nodes.scan_prefix(&prefix);
-        while let Some((k, v)) = scan.next_entry().in_op("scan tree \"nodes\"")? {
-            let (t, _) = parse_node_value(&v).ok_or(MorphError::Internal("corrupt nodes entry"))?;
-            victims.push((k, t));
-        }
-        if victims.is_empty() {
-            return Err(mutation_err(format!("no node {dewey}")));
-        }
-        let root_type = victims[0].1;
+        let root_type = self.node_type_required(dewey)?;
+        let at = dewey.encode();
+        let types = self.subtree_types(root_type, &at)?;
         let shared = Arc::clone(&self.shared);
         let _gate = shared.gate.write().unwrap();
-        self.cow_pin(victims.iter().map(|(_, t)| *t));
+        self.cow_pin(types.iter().copied())?;
+        // A read error from here on rolls the transaction back whole.
         let txn = self.store.begin().in_op("begin mutation transaction")?;
         let mut deltas = Deltas::new();
-        let mut removed_per_type: HashMap<TypeId, i64> = HashMap::new();
-        let mut tk = Vec::new();
-        for (k, t) in &victims {
-            self.nodes.delete(k).in_op("delete from tree \"nodes\"")?;
-            typeseq_key_into(&mut tk, *t, k);
-            self.typeseq
-                .delete(&tk)
-                .in_op("delete from tree \"typeseq\"")?;
-            let mut comps = Vec::new();
-            if decode_components_into(k, &mut comps) {
-                delta_removed(&mut deltas, *t, comps);
+        let mut removed = 0u64;
+        let mut prefix = Vec::with_capacity(4 + at.len());
+        for t in types {
+            typeseq_key_into(&mut prefix, t, &at);
+            let keys = self.typeseq.delete_prefix(&prefix);
+            let keys = keys.in_op("delete from tree \"typeseq\"")?;
+            for k in &keys {
+                let mut comps = Vec::new();
+                if decode_components_into(&k[4..], &mut comps) {
+                    delta_removed(&mut deltas, t, comps);
+                }
             }
-            *removed_per_type.entry(*t).or_insert(0) += 1;
-        }
-        for (t, n) in removed_per_type {
-            self.shape.add_instances(t, -n);
+            self.shape.add_instances(t, -(keys.len() as i64));
+            removed += keys.len() as u64;
         }
         let parent = dewey.parent().expect("len > 1 has a parent");
         let remaining = self.count_children_of_type(root_type, &parent)?;
@@ -423,7 +412,7 @@ impl ShreddedDoc {
             .set_card(root_type, Card::new(old.min.min(remaining), old.max));
         self.persist_shape()?;
         self.commit_structural(txn, deltas)?;
-        Ok(victims.len() as u64)
+        Ok(removed)
     }
 
     /// Parse `fragment` (one rooted element) and insert it as the
@@ -439,14 +428,8 @@ impl ShreddedDoc {
     fn insert_subtree_inner(&mut self, parent: &Dewey, fragment: &str) -> MorphResult<Dewey> {
         let events = parse_fragment(fragment)?;
         let ptype = self.node_type_required(parent)?;
-        // The last key under the parent lies in its last child's
-        // subtree: one seek, whatever the parent's fan-out.
-        let last = self
-            .nodes
-            .last_key_with_prefix(&parent.encode())
-            .in_op("seek tree \"nodes\"")?;
-        let max = last.and_then(|k| component(&k, parent.len())).unwrap_or(0);
-        let ord = max
+        let ord = self
+            .max_child_ordinal(parent, ptype, None)?
             .checked_add(1)
             .ok_or_else(|| mutation_err("child ordinal space exhausted"))?;
         let shared = Arc::clone(&self.shared);
@@ -480,16 +463,12 @@ impl ShreddedDoc {
         let parent = sibling
             .parent()
             .ok_or_else(|| mutation_err("cannot insert before the document root"))?;
-        self.node_type_required(sibling)?;
         let ptype = self.node_type_required(&parent)?;
+        self.type_among(self.shape.children(ptype), &sibling.encode())?
+            .ok_or_else(|| mutation_err(format!("no node {sibling}")))?;
         let b = *sibling.components().last().expect("non-root dewey");
-        // The key just below the sibling is the last of the previous
-        // sibling's subtree, or the parent's own (ordinal 0 then).
-        let below = self
-            .nodes
-            .last_key_below(&sibling.encode())
-            .in_op("seek tree \"nodes\"")?;
-        let a = below.and_then(|k| component(&k, parent.len())).unwrap_or(0);
+        // The previous sibling's ordinal, or 0 when there is none.
+        let a = self.max_child_ordinal(&parent, ptype, Some(b))?;
         let shared = Arc::clone(&self.shared);
         let _gate = shared.gate.write().unwrap();
         // Both arms — midpoint insert or local renumber + insert — are
@@ -503,7 +482,7 @@ impl ShreddedDoc {
             return Ok(dewey);
         }
         // Only the renumber iterates, over the siblings it moves anyway.
-        let tail = self.child_ordinals_from(&parent, b)?;
+        let tail = self.child_ordinals_from(&parent, ptype, b)?;
         let max = *tail.last().expect("sibling exists");
         let fresh = |slot: u32| -> MorphResult<u32> {
             slot.checked_mul(GAP_STRIDE)
@@ -513,7 +492,7 @@ impl ShreddedDoc {
         let insert_ord = fresh(1)?;
         for (i, &o) in tail.iter().enumerate() {
             let new_o = fresh(i as u32 + 2)?;
-            self.renumber_child(&parent, o, new_o, &mut deltas)?;
+            self.renumber_child(&parent, ptype, o, new_o, &mut deltas)?;
         }
         let dewey = self.insert_fragment_at(&parent, ptype, insert_ord, events, &mut deltas)?;
         self.commit_structural(txn, deltas)?;
@@ -584,32 +563,92 @@ impl ShreddedDoc {
     }
 
     fn node_type_required(&self, dewey: &Dewey) -> MorphResult<TypeId> {
-        self.nodes
-            .get(&dewey.encode())
-            .in_op("read tree \"nodes\"")?
-            .and_then(|v| parse_node_value(&v))
-            .map(|(t, _)| t)
+        self.node_type(dewey)?
             .ok_or_else(|| mutation_err(format!("no node {dewey}")))
     }
 
-    /// Distinct child ordinals of `parent` from `from` upward,
-    /// ascending: a key-only scan of those siblings' subtrees, starting
-    /// at the first; values never materialize.
-    fn child_ordinals_from(&self, parent: &Dewey, from: u32) -> MorphResult<Vec<u32>> {
-        let prefix = parent.encode();
-        let mut out: Vec<u32> = Vec::new();
-        let mut iter = self.nodes.range(parent.child(from).encode()..);
-        while let Some(k) = iter.next_key().in_op("scan tree \"nodes\"")? {
-            if !k.starts_with(&prefix) {
-                break;
-            }
-            if let Some(ord) = component(&k, parent.len()) {
-                if out.last() != Some(&ord) {
-                    out.push(ord);
+    /// The `typeseq` key prefixes `c ‖ parent` of the child types `c`
+    /// of `ptype` that have instances: a child of `parent` with type `c`
+    /// has the key `c ‖ parent ‖ ordinal`.
+    fn child_prefixes(&self, parent: &Dewey, ptype: TypeId) -> Vec<Vec<u8>> {
+        let at = parent.encode();
+        let children = self.shape.children(ptype).iter();
+        children
+            .filter(|&&c| self.shape.instance_count(c) > 0)
+            .map(|&c| {
+                let mut prefix = Vec::with_capacity(8 + at.len());
+                typeseq_key_into(&mut prefix, c, &at);
+                prefix
+            })
+            .collect()
+    }
+
+    /// The greatest child ordinal of `parent` (of type `ptype`), or the
+    /// greatest below `below` when given; 0 when there is none. One
+    /// seek per child type.
+    fn max_child_ordinal(
+        &self,
+        parent: &Dewey,
+        ptype: TypeId,
+        below: Option<u32>,
+    ) -> MorphResult<u32> {
+        let mut max = 0;
+        for prefix in self.child_prefixes(parent, ptype) {
+            let last = match below {
+                None => self.typeseq.last_key_with_prefix(&prefix),
+                Some(b) => {
+                    let upper = [prefix.as_slice(), &b.to_be_bytes()].concat();
+                    let last = self.typeseq.last_key_below(&upper);
+                    last.map(|k| k.filter(|k| k.starts_with(&prefix)))
                 }
+            };
+            let last = last.in_op("seek tree \"typeseq\"")?;
+            if let Some(ord) = last.and_then(|k| component(&k[4..], parent.len())) {
+                max = max.max(ord);
             }
         }
+        Ok(max)
+    }
+
+    /// Child ordinals of `parent` (of type `ptype`) from `from` upward,
+    /// ascending: one key-only range scan per child type.
+    fn child_ordinals_from(
+        &self,
+        parent: &Dewey,
+        ptype: TypeId,
+        from: u32,
+    ) -> MorphResult<Vec<u32>> {
+        let mut out: Vec<u32> = Vec::new();
+        for prefix in self.child_prefixes(parent, ptype) {
+            let lo = [prefix.as_slice(), &from.to_be_bytes()].concat();
+            let hi = [prefix.as_slice(), &u32::MAX.to_be_bytes()].concat();
+            let mut scan = self.typeseq.range(lo..=hi);
+            while let Some(k) = scan.next_key().in_op("scan tree \"typeseq\"")? {
+                out.extend(component(&k[4..], parent.len()));
+            }
+        }
+        out.sort_unstable();
         Ok(out)
+    }
+
+    /// The types with rows in the subtree at the encoded Dewey `at`,
+    /// whose root has type `root`: one count per descendant type, which
+    /// buffers no leaf, descending only into types whose range held rows
+    /// — a type with no instance under `at` has no descendant there.
+    fn subtree_types(&self, root: TypeId, at: &[u8]) -> MorphResult<Vec<TypeId>> {
+        let mut found = Vec::new();
+        let mut pending = vec![root];
+        let mut prefix = Vec::with_capacity(4 + at.len());
+        while let Some(t) = pending.pop() {
+            typeseq_key_into(&mut prefix, t, at);
+            let rows = self.typeseq.count_prefix(&prefix);
+            if t == root || rows.in_op("count tree \"typeseq\"")? > 0 {
+                found.push(t);
+                let children = self.shape.children(t).iter();
+                pending.extend(children.filter(|&&c| self.shape.instance_count(c) > 0));
+            }
+        }
+        Ok(found)
     }
 
     /// Children of `parent` with type `t` (their shared depth makes
@@ -629,47 +668,42 @@ impl ShreddedDoc {
     fn renumber_child(
         &mut self,
         parent: &Dewey,
+        ptype: TypeId,
         old_ord: u32,
         new_ord: u32,
         deltas: &mut Deltas,
     ) -> MorphResult<()> {
-        let prefix = parent.child(old_ord).encode();
-        let idx = parent.len();
-        let mut moves: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut scan = self.nodes.scan_prefix(&prefix);
-        while let Some(entry) = scan.next_entry().in_op("scan tree \"nodes\"")? {
-            moves.push(entry);
-        }
-        self.cow_pin(
-            moves
-                .iter()
-                .filter_map(|(_, v)| parse_node_value(v).map(|(t, _)| t)),
-        );
-        let mut tk = Vec::new();
-        for (k, v) in moves {
-            let (t, text) =
-                parse_node_value(&v).ok_or(MorphError::Internal("corrupt nodes entry"))?;
-            let mut nk = k.clone();
-            nk[idx * 4..idx * 4 + 4].copy_from_slice(&new_ord.to_be_bytes());
-            self.nodes.delete(&k).in_op("delete from tree \"nodes\"")?;
-            self.nodes
-                .insert(&nk, &v)
-                .in_op("insert into tree \"nodes\"")?;
-            typeseq_key_into(&mut tk, t, &k);
-            self.typeseq
-                .delete(&tk)
-                .in_op("delete from tree \"typeseq\"")?;
-            typeseq_key_into(&mut tk, t, &nk);
-            self.typeseq
-                .insert(&tk, text.as_bytes())
-                .in_op("insert into tree \"typeseq\"")?;
-            let mut old_comps = Vec::new();
-            let mut new_comps = Vec::new();
-            if decode_components_into(&k, &mut old_comps)
-                && decode_components_into(&nk, &mut new_comps)
-            {
-                delta_removed(deltas, t, old_comps);
-                delta_added(deltas, t, new_comps, text);
+        let at = parent.child(old_ord).encode();
+        let root = self
+            .type_among(self.shape.children(ptype), &at)?
+            .ok_or(MorphError::Internal("renumbered sibling vanished"))?;
+        let types = self.subtree_types(root, &at)?;
+        self.cow_pin(types.iter().copied())?;
+        // The renumbered component's bytes in a `typeseq` key.
+        let idx = 4 + parent.len() * 4;
+        let mut prefix = Vec::with_capacity(4 + at.len());
+        for t in types {
+            typeseq_key_into(&mut prefix, t, &at);
+            let moves = self.typeseq.scan_prefix(&prefix).entries();
+            for (k, v) in moves.in_op("scan tree \"typeseq\"")? {
+                let text = String::from_utf8(v)
+                    .map_err(|_| MorphError::Internal("corrupt typeseq text"))?;
+                let mut nk = k.clone();
+                nk[idx..idx + 4].copy_from_slice(&new_ord.to_be_bytes());
+                self.typeseq
+                    .delete(&k)
+                    .in_op("delete from tree \"typeseq\"")?;
+                self.typeseq
+                    .insert(&nk, text.as_bytes())
+                    .in_op("insert into tree \"typeseq\"")?;
+                let mut old_comps = Vec::new();
+                let mut new_comps = Vec::new();
+                if decode_components_into(&k[4..], &mut old_comps)
+                    && decode_components_into(&nk[4..], &mut new_comps)
+                {
+                    delta_removed(deltas, t, old_comps);
+                    delta_added(deltas, t, new_comps, text);
+                }
             }
         }
         Ok(())
@@ -684,12 +718,8 @@ impl ShreddedDoc {
         deltas: &mut Deltas,
     ) -> MorphResult<Dewey> {
         let root_dewey = parent.child(ordinal);
-        if self
-            .nodes
-            .get(&root_dewey.encode())
-            .in_op("read tree \"nodes\"")?
-            .is_some()
-        {
+        let occupant = self.type_among(self.shape.children(parent_type), &root_dewey.encode())?;
+        if occupant.is_some() {
             return Err(mutation_err(format!("label {root_dewey} is occupied")));
         }
         let (entries, root_type) =
@@ -698,11 +728,8 @@ impl ShreddedDoc {
         // interned pin an empty column — harmless, since no snapshot's
         // frozen shape knows them. (Shape edits above don't need the
         // pin: snapshots hold their own `Arc` clone of the shape.)
-        self.cow_pin(entries.iter().map(|(t, _, _)| *t));
+        self.cow_pin(entries.iter().map(|(t, _, _)| *t))?;
         for (t, d, text) in &entries {
-            self.nodes
-                .insert(&d.encode(), &node_value(*t, text))
-                .in_op("insert into tree \"nodes\"")?;
             self.typeseq
                 .insert(&typeseq_key(*t, d), text.as_bytes())
                 .in_op("insert into tree \"typeseq\"")?;
@@ -746,7 +773,7 @@ impl ShreddedDoc {
         self.shape.begin_undo();
         let out = body(self);
         if out.is_err() && self.shape.undo_edits() {
-            for tree in [&self.nodes, &self.typeseq, &self.meta] {
+            for tree in [&self.typeseq, &self.meta] {
                 tree.reload_root();
             }
         }
@@ -896,7 +923,7 @@ mod tests {
         doc.update_text(&d("1.1.1"), "  Z  ").unwrap();
         assert_eq!(doc.node_text(&d("1.1.1")).unwrap().as_deref(), Some("Z"));
         assert_eq!(texts(&doc, "data.book.title"), ["Z", "Y"]);
-        assert_eq!(doc.scan_type(title), doc.scan_type_btree(title));
+        assert_eq!(doc.scan_type(title), doc.scan_type_btree(title).unwrap());
         let stats = doc.maintenance_stats();
         assert_eq!(stats.merged_columns, 1);
         assert_eq!(stats.invalidated_columns, 0);
@@ -932,7 +959,7 @@ mod tests {
         assert_eq!(doc.instance_count(author), 1);
         assert_eq!(doc.instance_count(name), 1);
         assert_eq!(texts(&doc, "data.book.author.name"), ["Tim"]);
-        assert_eq!(doc.scan_type(name), doc.scan_type_btree(name));
+        assert_eq!(doc.scan_type(name), doc.scan_type_btree(name).unwrap());
         // Book 1.1 now has zero authors: the edge min must widen to 0.
         assert_eq!(doc.shape().card(author).min, 0);
         // The closest join no longer finds an author for book 1.1.
@@ -968,7 +995,7 @@ mod tests {
         // that edge's min widened to 0.
         assert_eq!(doc.shape().card(ty(&doc, "data.book.publisher")).min, 0);
         let title = ty(&doc, "data.book.title");
-        assert_eq!(doc.scan_type(title), doc.scan_type_btree(title));
+        assert_eq!(doc.scan_type(title), doc.scan_type_btree(title).unwrap());
     }
 
     #[test]
@@ -1015,7 +1042,7 @@ mod tests {
         assert_eq!(dewey.to_string(), format!("1.{}", 2 + GAP_STRIDE));
         assert_eq!(texts(&doc, "data.book.title"), ["X", "M", "Y"]);
         let title = ty(&doc, "data.book.title");
-        assert_eq!(doc.scan_type(title), doc.scan_type_btree(title));
+        assert_eq!(doc.scan_type(title), doc.scan_type_btree(title).unwrap());
         // The renumbered book still joins its own title, not its
         // neighbour's.
         let publisher = ty(&doc, "data.book.publisher");
@@ -1116,7 +1143,8 @@ mod tests {
             doc.insert_subtree(&d("1.1"), "<review>ok</review>")
                 .unwrap();
             doc.delete_subtree(&d("1.2.3")).unwrap();
-            let shape_rows = |doc: &ShreddedDoc| doc.meta.scan_prefix(b"shape.").count();
+            let shape_rows =
+                |doc: &ShreddedDoc| doc.meta.scan_prefix(b"shape.").entries().unwrap().len();
             assert!(
                 shape_rows(&doc) > 0,
                 "structural mutations write shape rows"
@@ -1129,7 +1157,7 @@ mod tests {
                 doc2.expected_generation(ty(&doc2, "data.book"))
             );
             assert_eq!(shape_rows(&doc2), 0, "a re-shred leaves no shape row");
-            assert_eq!(doc2.meta.scan_prefix(b"tygen.").count(), 0);
+            assert_eq!(doc2.meta.scan_prefix(b"tygen.").entries().unwrap().len(), 0);
             store.close().unwrap();
         }
         let store = Store::open(&path).unwrap();
@@ -1211,7 +1239,11 @@ mod tests {
         mutate(&mut cold);
         cold.evict_columns();
         for t in hot.types().ids().collect::<Vec<_>>() {
-            assert_eq!(hot.scan_type(t), hot.scan_type_btree(t), "hot {t:?}");
+            assert_eq!(
+                hot.scan_type(t),
+                hot.scan_type_btree(t).unwrap(),
+                "hot {t:?}"
+            );
             assert_eq!(hot.scan_type(t), cold.scan_type(t), "hot vs cold {t:?}");
         }
         // Merges are deferred to the first read, so the counter is

@@ -2,10 +2,8 @@
 //! renderer needs: exact `typeDistance` and the Dewey-prefix closest join.
 //!
 //! The paper's architecture (Fig. 8) shreds documents into BerkeleyDB
-//! tables; ours land in `xmorph-pagestore` trees:
+//! tables; ours land in two `xmorph-pagestore` trees:
 //!
-//! * **`nodes`** — Dewey key → (type id, direct text). The paper's
-//!   `Nodes` table.
 //! * **`typeseq`** — (type id, Dewey) key → direct text. The paper's
 //!   `TypeToSequence`/`GroupedSequence` tables folded into one: a scan
 //!   with a `(type, prefix)` key prefix *is* the grouped sequence that
@@ -13,6 +11,11 @@
 //!   renderer stream output from a single scan.
 //! * **`meta`** — the serialized adorned shape (`AdornedShapes` table)
 //!   and the column generation counter.
+//!
+//! Fig. 8's `Nodes` table (Dewey → type, text) is folded into
+//! `typeseq` plus a walk of the shape ([`ShreddedDoc::node_type`]): no
+//! query needs that lookup, and the writer pays O(depth × fan-out)
+//! point reads for it rather than a second copy of every row.
 //!
 //! Shredding is streaming: one pass over the SAX-style event stream with
 //! O(depth) memory, exactly like the paper's Xerces-based shredder. By
@@ -123,8 +126,8 @@ impl ShredOptions {
         ShredOptions::default()
     }
 
-    /// Sort the `nodes`/`typeseq` entries once and build both trees with
-    /// the B+tree bulk loader (bottom-up leaf packing) instead of one
+    /// Sort the `typeseq` entries once and build the tree with the
+    /// B+tree bulk loader (bottom-up leaf packing) instead of one
     /// root-to-leaf insert per entry. `false` keeps the original
     /// incremental path — the before/after baseline of the `fig_joins`
     /// benchmark and the reference the bulk path is tested against.
@@ -164,31 +167,27 @@ impl ShredOptions {
 /// ```
 /// use xmorph_core::OpenOptions;
 ///
-/// let opts = OpenOptions::builder()
-///     .mmap(false)
-///     .column_budget(64 << 20);
+/// let opts = OpenOptions::builder().persisted_columns(false);
 /// # let _ = opts;
 /// ```
+///
+/// The column-cache budget belongs to the live document:
+/// [`ShreddedDoc::set_column_budget`].
 #[derive(Debug, Clone)]
 pub struct OpenOptions {
     persisted_columns: bool,
-    mmap: bool,
-    column_budget: Option<usize>,
 }
 
 impl Default for OpenOptions {
     fn default() -> Self {
         OpenOptions {
             persisted_columns: true,
-            mmap: true,
-            column_budget: None,
         }
     }
 }
 
 impl OpenOptions {
-    /// Start from the defaults (persisted columns used, mmap preferred,
-    /// no budget).
+    /// Start from the defaults (persisted columns used).
     pub fn builder() -> OpenOptions {
         OpenOptions::default()
     }
@@ -197,23 +196,6 @@ impl OpenOptions {
     /// always rebuilds columns from the `typeseq` tree. Default: `true`.
     pub fn persisted_columns(mut self, on: bool) -> Self {
         self.persisted_columns = on;
-        self
-    }
-
-    /// Prefer memory-mapping persisted segments over copying them to
-    /// the heap. Mapped columns don't count against the heap; eviction
-    /// unmaps them. Default: `true`.
-    pub fn mmap(mut self, on: bool) -> Self {
-        self.mmap = on;
-        self
-    }
-
-    /// Approximate cap, in bytes, on cached column memory (heap +
-    /// mapped). When an insert pushes the cache past the cap, other
-    /// columns are evicted until it fits (the newly touched column
-    /// always stays). Default: unbounded.
-    pub fn column_budget(mut self, bytes: usize) -> Self {
-        self.column_budget = Some(bytes);
         self
     }
 }
@@ -715,7 +697,6 @@ impl Eq for TypeColumn {}
 /// "prior to rendering, only the adorned shapes ... are needed").
 pub struct ShreddedDoc {
     pub(in crate::store) store: Store,
-    pub(in crate::store) nodes: Tree,
     pub(in crate::store) typeseq: Tree,
     pub(in crate::store) meta: Tree,
     pub(in crate::store) shape: AdornedShape,
@@ -872,26 +853,6 @@ pub(in crate::store) fn typeseq_key_into(out: &mut Vec<u8>, t: TypeId, dewey: &[
     out.extend_from_slice(dewey);
 }
 
-/// A `nodes` value: the little-endian type id, then the direct text.
-pub(in crate::store) fn node_value(t: TypeId, text: &str) -> Vec<u8> {
-    let mut v = Vec::with_capacity(4 + text.len());
-    node_value_into(&mut v, t, text);
-    v
-}
-
-/// [`node_value`] into `out` (cleared).
-fn node_value_into(out: &mut Vec<u8>, t: TypeId, text: &str) {
-    out.clear();
-    out.extend_from_slice(&t.0.to_le_bytes());
-    out.extend_from_slice(text.as_bytes());
-}
-
-pub(in crate::store) fn parse_node_value(v: &[u8]) -> Option<(TypeId, String)> {
-    let t = TypeId(u32::from_le_bytes(v.get(..4)?.try_into().ok()?));
-    let text = String::from_utf8(v.get(4..)?.to_vec()).ok()?;
-    Some((t, text))
-}
-
 /// Do two columns share a row prefix of `level` components? Sorted-merge
 /// over the flat component arrays — no key decoding, no allocation. The
 /// trailing side gallops to the other side's prefix instead of stepping
@@ -924,25 +885,28 @@ fn co_occur_columns(a: &TypeColumn, b: &TypeColumn, level: usize) -> bool {
 /// either type has no instances, 0 for a type with itself, otherwise
 /// the tree distance through the deepest Dewey level at which some
 /// instance of `a` and some instance of `b` share a prefix. Levels are
-/// tried from the deepest shared path prefix upward.
-fn distance_by_levels(
+/// tried from the deepest shared path prefix upward; an error from the
+/// test ends the search with that error.
+fn distance_by_levels<E>(
     shape: &AdornedShape,
     a: TypeId,
     b: TypeId,
-    mut co_occur: impl FnMut(usize) -> bool,
-) -> Option<usize> {
+    mut co_occur: impl FnMut(usize) -> Result<bool, E>,
+) -> Result<Option<usize>, E> {
     if shape.instance_count(a) == 0 || shape.instance_count(b) == 0 {
-        return None;
+        return Ok(None);
     }
     if a == b {
-        return Some(0);
+        return Ok(Some(0));
     }
     let types = shape.types();
     let (la, lb) = (types.dewey_len(a), types.dewey_len(b));
-    (1..=types.common_prefix_len(a, b))
-        .rev()
-        .find(|&level| co_occur(level))
-        .map(|level| la + lb - 2 * level)
+    for level in (1..=types.common_prefix_len(a, b)).rev() {
+        if co_occur(level)? {
+            return Ok(Some(la + lb - 2 * level));
+        }
+    }
+    Ok(None)
 }
 
 /// State a [`ShreddedDoc`] shares with every [`Snapshot`] it has
@@ -969,9 +933,8 @@ pub(in crate::store) struct DocShared {
     pub(in crate::store) gate: RwLock<()>,
     pub(in crate::store) touched: Mutex<HashMap<TypeId, u64>>,
     pub(in crate::store) live: Mutex<Vec<Weak<Snapshot>>>,
-    /// Open-time knobs (see [`OpenOptions`]).
+    /// Whether loads read persisted segments (see [`OpenOptions`]).
     use_persisted: bool,
-    prefer_mmap: bool,
     /// Persisted segments that failed validation and fell back to a
     /// rebuild, as `"segment: reason"` lines.
     fallbacks: Mutex<Vec<String>>,
@@ -982,13 +945,12 @@ pub(in crate::store) struct DocShared {
 }
 
 impl DocShared {
-    fn new(use_persisted: bool, prefer_mmap: bool) -> Arc<DocShared> {
+    fn new(use_persisted: bool) -> Arc<DocShared> {
         Arc::new(DocShared {
             gate: RwLock::new(()),
             touched: Mutex::new(HashMap::new()),
             live: Mutex::new(Vec::new()),
             use_persisted,
-            prefer_mmap,
             fallbacks: Mutex::new(Vec::new()),
             rebuilds: AtomicU64::new(0),
         })
@@ -1012,7 +974,7 @@ impl DocShared {
     ) -> StoreResult<TypeColumn> {
         if self.use_persisted {
             let name = colseg::segment_name(t);
-            let reason = match store.get_segment(&name, self.prefer_mmap) {
+            let reason = match store.get_segment(&name, true) {
                 Ok(Some(seg)) => match colseg::parse(&seg, width, generation) {
                     Ok(parsed) => return Ok(TypeColumn::from_segment(seg, parsed)),
                     Err(reason) => Some(reason.to_string()),
@@ -1104,16 +1066,15 @@ fn decode_typeseq_column(typeseq: &Tree, width: usize, t: TypeId) -> StoreResult
 }
 
 /// The `(Dewey, text)` rows of `typeseq` under a key prefix, straight
-/// from the tree — the B+tree reference reads.
-fn typeseq_rows(typeseq: &Tree, prefix: &[u8]) -> Vec<(Dewey, String)> {
-    typeseq
-        .scan_prefix(prefix)
-        .filter_map(|(k, v)| {
-            let dewey = Dewey::decode(k.get(4..)?)?;
-            let text = String::from_utf8(v).ok()?;
-            Some((dewey, text))
-        })
-        .collect()
+/// from the tree — the B+tree reference reads. Malformed entries are
+/// skipped, like [`ColumnBuilder::push`] skips them; a read error is an
+/// error, never a short list.
+fn typeseq_rows(typeseq: &Tree, prefix: &[u8]) -> StoreResult<Vec<(Dewey, String)>> {
+    let entries = typeseq.scan_prefix(prefix).entries()?;
+    let row = |(k, v): (Vec<u8>, Vec<u8>)| {
+        Some((Dewey::decode(k.get(4..)?)?, String::from_utf8(v).ok()?))
+    };
+    Ok(entries.into_iter().filter_map(row).collect())
 }
 
 // ---- streaming shred machinery (external sort over store segments) ----
@@ -1531,17 +1492,15 @@ impl BulkSource for ColumnTee<'_> {
 }
 
 /// One pass over a SAX-style event stream: assign Dewey numbers, grow
-/// the adorned shape, and emit each vertex's `nodes` and `typeseq`
-/// entries through the two sinks. O(depth) state of its own, and no
-/// allocation per entry: the open elements share one encoded Dewey and
-/// one text buffer, and every key and value is encoded into a reused
-/// buffer the sinks borrow. The sinks decide whether entries
-/// accumulate, spill, or insert directly.
+/// the adorned shape, and emit each vertex's `typeseq` entry through
+/// the sink. O(depth) state of its own, and no allocation per entry:
+/// the open elements share one encoded Dewey and one text buffer, and
+/// every key is encoded into a reused buffer the sink borrows. The sink
+/// decides whether entries accumulate, spill, or insert directly.
 fn drive_parse<E: EventSource>(
     reader: &mut E,
     builder: &mut ShapeBuilder,
-    mut node: impl FnMut(&[u8], &[u8]) -> MorphResult<()>,
-    mut tyseq: impl FnMut(&[u8], &[u8]) -> MorphResult<()>,
+    mut sink: impl FnMut(&[u8], &[u8]) -> MorphResult<()>,
 ) -> MorphResult<()> {
     struct Frame {
         type_id: TypeId,
@@ -1550,18 +1509,16 @@ fn drive_parse<E: EventSource>(
         text_start: usize,
     }
     let mut stack: Vec<Frame> = Vec::new();
-    // The encoded Dewey of the innermost open element (its `nodes`
-    // key): four big-endian bytes per component.
+    // The encoded Dewey of the innermost open element: four big-endian
+    // bytes per component.
     let mut dewey: Vec<u8> = Vec::new();
     // The direct text of every open element, innermost last: a child's
     // text is cut off when it closes, so its parent's resumes.
     let mut texts = String::new();
-    let (mut key, mut value) = (Vec::new(), Vec::new());
+    let mut key = Vec::new();
     let mut emit = |t: TypeId, dewey: &[u8], text: &str| -> MorphResult<()> {
-        node_value_into(&mut value, t, text);
-        node(dewey, &value)?;
         typeseq_key_into(&mut key, t, dewey);
-        tyseq(&key, text.as_bytes())
+        sink(&key, text.as_bytes())
     };
     loop {
         match reader.next_event()? {
@@ -1742,27 +1699,18 @@ impl ShreddedDoc {
         // Trees are opened inside the transaction so a rollback
         // removes their catalog entries along with their pages.
         let txn = store.begin().in_op("begin shred transaction")?;
-        let nodes = store.open_tree("nodes").in_op("open tree \"nodes\"")?;
         let typeseq = store.open_tree("typeseq").in_op("open tree \"typeseq\"")?;
         let meta = store.open_tree("meta").in_op("open tree \"meta\"")?;
         let mut builder = AdornedShape::builder();
-        drive_parse(
-            reader,
-            &mut builder,
-            |k, v| {
-                nodes.insert(k, v).in_op("insert into tree \"nodes\"")?;
-                Ok(())
-            },
-            |k, v| {
-                typeseq.insert(k, v).in_op("insert into tree \"typeseq\"")?;
-                Ok(())
-            },
-        )?;
+        drive_parse(reader, &mut builder, |k, v| {
+            typeseq.insert(k, v).in_op("insert into tree \"typeseq\"")?;
+            Ok(())
+        })?;
         let shape = builder.finish();
         let (generation, stale) = plan_generation(&meta)?;
         commit_meta(&meta, &shape, generation, &stale)?;
         txn.commit().in_op("commit shred transaction")?;
-        let doc = Self::fresh_doc(store, nodes, typeseq, meta, shape, generation);
+        let doc = Self::fresh_doc(store, typeseq, meta, shape, generation);
         // Column persistence flushes, which must wait for the commit.
         if persist_columns && store.is_persistent() {
             doc.persist_all_columns()?;
@@ -1770,17 +1718,15 @@ impl ShreddedDoc {
         Ok(doc)
     }
 
-    /// The bulk path, an external sort: entries accumulate in run
-    /// arenas, full runs are sorted and spilled to temporary store
+    /// The bulk path, an external sort: entries accumulate in a run
+    /// arena, full runs are sorted and spilled to temporary store
     /// segments, and a k-way merge lends the sorted stream straight
-    /// to the bottom-up tree packer — with the `typeseq` pass teed
-    /// through the column builder when columns persist, so their
-    /// segments come out of the same scan. Peak tracked memory is
-    /// proportional to the budget, not the document; an unbounded
-    /// budget spills only past 4 GiB a stream, so the merge is the
-    /// in-memory sort. Trees
-    /// are opened only after the parse succeeds, so a malformed
-    /// document leaves them untouched.
+    /// to the bottom-up tree packer — teed through the column builder
+    /// when columns persist, so their segments come out of the same
+    /// scan. Peak tracked memory is proportional to the budget, not the
+    /// document; an unbounded budget spills only past 4 GiB, so the
+    /// merge is the in-memory sort. Trees are opened only after the
+    /// parse succeeds, so a malformed document leaves them untouched.
     fn shred_bulk<E: EventSource>(
         store: &Store,
         reader: &mut E,
@@ -1791,44 +1737,26 @@ impl ShreddedDoc {
             store,
             names: RefCell::new(Vec::new()),
         };
-        // Halve the budget across the two sorted streams, and halve
-        // again so a full run arena plus its spill image
-        // (or, later, the merge tail plus one column under
-        // construction) stay inside each stream's share. The floor
-        // keeps a degenerate budget from spilling per-entry runs.
-        let per = (budget / 4).max(4 * 1024);
-        let mut node_runs = RunSpiller::new(store, &guard, "n", per);
-        let mut tyseq_runs = RunSpiller::new(store, &guard, "t", per);
+        // Halve the budget so a full run arena plus its spill image (or,
+        // later, the merge tail plus one column under construction)
+        // stay inside it. The floor keeps a degenerate budget from
+        // spilling per-entry runs.
+        let per = (budget / 2).max(4 * 1024);
+        let mut runs = RunSpiller::new(store, &guard, "t", per);
         let mut builder = AdornedShape::builder();
-        drive_parse(
-            reader,
-            &mut builder,
-            |k, v| node_runs.push(k, v),
-            |k, v| tyseq_runs.push(k, v),
-        )?;
+        drive_parse(reader, &mut builder, |k, v| runs.push(k, v))?;
         let shape = builder.finish();
 
-        let nodes = store.open_tree("nodes").in_op("open tree \"nodes\"")?;
         let typeseq = store.open_tree("typeseq").in_op("open tree \"typeseq\"")?;
         let meta = store.open_tree("meta").in_op("open tree \"meta\"")?;
         // The tee stamps segments with the new generation, so plan it
         // before the merge; the meta writes land after.
         let (generation, stale) = plan_generation(&meta)?;
 
-        let expect_nodes = node_runs.count;
-        let mut merge = node_runs.into_merge()?;
-        nodes
-            .bulk_load(&mut merge, DEFAULT_FILL)
-            .in_op("bulk-load tree \"nodes\"")?;
-        if merge.produced != expect_nodes {
-            return Err(MorphError::Internal("shred run lost entries in merge"));
-        }
-        drop(merge);
-
         let persist = persist_columns && store.is_persistent();
-        let expect_tyseq = tyseq_runs.count;
+        let expect = runs.count;
         let mut tee = ColumnTee {
-            merge: tyseq_runs.into_merge()?,
+            merge: runs.into_merge()?,
             cols: persist.then(|| ColumnSink {
                 cur: None,
                 store,
@@ -1841,7 +1769,7 @@ impl ShreddedDoc {
         typeseq
             .bulk_load(&mut tee, DEFAULT_FILL)
             .in_op("bulk-load tree \"typeseq\"")?;
-        if tee.merge.produced != expect_tyseq {
+        if tee.merge.produced != expect {
             return Err(MorphError::Internal("shred run lost entries in merge"));
         }
         let overflowed = tee.cols.map(|c| c.overflowed).unwrap_or_default();
@@ -1851,7 +1779,7 @@ impl ShreddedDoc {
         guard.release()?;
 
         commit_meta(&meta, &shape, generation, &stale)?;
-        let doc = Self::fresh_doc(store, nodes, typeseq, meta, shape, generation);
+        let doc = Self::fresh_doc(store, typeseq, meta, shape, generation);
         if persist {
             // Columns too large for the tee's slice of the budget fall
             // back to a per-type decode — bounded by the largest
@@ -1873,7 +1801,6 @@ impl ShreddedDoc {
     /// write-capable, epoch zero.
     fn fresh_doc(
         store: &Store,
-        nodes: Tree,
         typeseq: Tree,
         meta: Tree,
         shape: AdornedShape,
@@ -1881,7 +1808,6 @@ impl ShreddedDoc {
     ) -> ShreddedDoc {
         ShreddedDoc {
             store: store.clone(),
-            nodes,
             typeseq,
             meta,
             shape,
@@ -1896,7 +1822,7 @@ impl ShreddedDoc {
             dirty: HashSet::new(),
             bumped_since_persist: HashSet::new(),
             epoch: 0,
-            shared: DocShared::new(true, true),
+            shared: DocShared::new(true),
             published: Mutex::new(None),
         }
     }
@@ -1909,7 +1835,6 @@ impl ShreddedDoc {
 
     /// Open an already-shredded document with explicit [`OpenOptions`].
     pub fn open_with(store: &Store, opts: &OpenOptions) -> MorphResult<ShreddedDoc> {
-        let nodes = store.open_tree("nodes").in_op("open tree \"nodes\"")?;
         let typeseq = store.open_tree("typeseq").in_op("open tree \"typeseq\"")?;
         let meta = store.open_tree("meta").in_op("open tree \"meta\"")?;
         let shape = load_shape(&meta)?;
@@ -1922,14 +1847,13 @@ impl ShreddedDoc {
         let next_gen = generation.max(tygens.values().copied().max().unwrap_or(0)) + 1;
         Ok(ShreddedDoc {
             store: store.clone(),
-            nodes,
             typeseq,
             meta,
             shape,
             generation,
             tygens: Mutex::new(tygens),
             next_gen,
-            column_budget: AtomicUsize::new(opts.column_budget.unwrap_or(usize::MAX)),
+            column_budget: AtomicUsize::new(usize::MAX),
             columns: RwLock::new(HashMap::default()),
             merged_columns: AtomicU64::new(0),
             pending_deltas: Mutex::new(HashMap::new()),
@@ -1937,7 +1861,7 @@ impl ShreddedDoc {
             dirty: HashSet::new(),
             bumped_since_persist: HashSet::new(),
             epoch: 0,
-            shared: DocShared::new(opts.persisted_columns, opts.mmap),
+            shared: DocShared::new(opts.persisted_columns),
             published: Mutex::new(None),
         })
     }
@@ -1957,24 +1881,54 @@ impl ShreddedDoc {
         self.shape.instance_count(t)
     }
 
-    /// Direct text of a node.
+    /// Direct text of a node, or `None` when no node has that label.
     pub fn node_text(&self, dewey: &Dewey) -> MorphResult<Option<String>> {
-        Ok(self
-            .nodes
-            .get(&dewey.encode())
-            .in_op("read tree \"nodes\"")?
-            .and_then(|v| parse_node_value(&v))
-            .map(|(_, text)| text))
+        let Some(t) = self.node_type(dewey)? else {
+            return Ok(None);
+        };
+        let text = self
+            .typeseq
+            .get(&typeseq_key(t, dewey))
+            .in_op("read tree \"typeseq\"")?;
+        Ok(text.map(|v| String::from_utf8_lossy(&v).into_owned()))
     }
 
-    /// Type of a node.
+    /// Type of a node, or `None` when no node has that label. All
+    /// instances of a type share one depth, so the node at depth `d`
+    /// is an instance of a depth-`d` type, and the walk narrows to it
+    /// from the root type: at each level it reads `typeseq` at
+    /// `(c ‖ prefix)` for each child type `c` of the type found so far
+    /// and keeps the first hit. O(depth × fan-out) point reads.
     pub fn node_type(&self, dewey: &Dewey) -> MorphResult<Option<TypeId>> {
-        Ok(self
-            .nodes
-            .get(&dewey.encode())
-            .in_op("read tree \"nodes\"")?
-            .and_then(|v| parse_node_value(&v))
-            .map(|(t, _)| t))
+        let at = dewey.encode();
+        let mut found = None;
+        for depth in 1..=dewey.len() {
+            let types = found.map_or(self.shape.roots(), |t| self.shape.children(t));
+            found = self.type_among(types, &at[..depth * 4])?;
+            if found.is_none() {
+                break;
+            }
+        }
+        Ok(found)
+    }
+
+    /// Which of `types` the node at the encoded Dewey `at` is an
+    /// instance of: one `typeseq` point read per type with instances,
+    /// in shape order, up to the first hit. Exact when `types` all sit
+    /// at the node's depth.
+    pub(in crate::store) fn type_among(
+        &self,
+        types: &[TypeId],
+        at: &[u8],
+    ) -> MorphResult<Option<TypeId>> {
+        let mut key = Vec::with_capacity(4 + at.len());
+        for &t in types.iter().filter(|&&t| self.shape.instance_count(t) > 0) {
+            typeseq_key_into(&mut key, t, at);
+            if self.typeseq.contains(&key).in_op("probe typeseq")? {
+                return Ok(Some(t));
+            }
+        }
+        Ok(None)
     }
 
     // ---- snapshot publication (single writer, many readers) ----
@@ -2073,29 +2027,38 @@ impl ShreddedDoc {
     /// write; afterwards every live snapshot either already held the
     /// type (some earlier state, pinned by its own `Arc`) or now holds
     /// the state current up to this mutation — so no snapshot will ever
-    /// lazily load a post-mutation column for a type it predates.
-    pub(in crate::store) fn cow_pin<I: IntoIterator<Item = TypeId>>(&mut self, types: I) {
+    /// lazily load a post-mutation column for a type it predates. A
+    /// column that fails to load fails the mutation here, before its
+    /// first write; snapshots pinned before the failure keep what they
+    /// got, which is still the pre-mutation state.
+    pub(in crate::store) fn cow_pin<I: IntoIterator<Item = TypeId>>(
+        &mut self,
+        types: I,
+    ) -> MorphResult<()> {
         let live: Vec<Arc<Snapshot>> = {
             let mut registry = self.shared.live.lock().unwrap();
             registry.retain(|w| w.strong_count() > 0);
             registry.iter().filter_map(Weak::upgrade).collect()
         };
         if live.is_empty() {
-            return;
+            return Ok(());
         }
         for t in types {
-            let mut resolved: Option<Arc<TypeColumn>> = None;
-            for snap in &live {
-                if snap.columns.read().unwrap().contains_key(&t) {
-                    continue;
-                }
-                // `column` settles any pending delta, so this is the
-                // fully merged pre-mutation state; computed once per
-                // type however many snapshots need the pin.
-                let col = Arc::clone(resolved.get_or_insert_with(|| self.column(t)));
-                snap.columns.write().unwrap().insert(t, col);
+            let lacking: Vec<&Arc<Snapshot>> = live
+                .iter()
+                .filter(|snap| !snap.columns.read().unwrap().contains_key(&t))
+                .collect();
+            if lacking.is_empty() {
+                continue;
+            }
+            // `try_column` settles any pending delta, so this is the
+            // fully merged pre-mutation state, loaded once per type.
+            let col = self.try_column(t).in_op("pin pre-mutation column")?;
+            for snap in lacking {
+                snap.columns.write().unwrap().insert(t, Arc::clone(&col));
             }
         }
+        Ok(())
     }
 
     // ---- the columnar read path ----
@@ -2333,21 +2296,22 @@ impl ShreddedDoc {
 
     /// `typeDistance` computed through B+tree key scans, bypassing the
     /// column cache — each call rescans.
-    pub fn type_distance_btree(&self, a: TypeId, b: TypeId) -> Option<usize> {
+    pub fn type_distance_btree(&self, a: TypeId, b: TypeId) -> MorphResult<Option<usize>> {
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
         distance_by_levels(&self.shape, a, b, |level| self.co_occur_btree(a, b, level))
+            .in_op("scan tree \"typeseq\"")
     }
 
     /// Do some instance of `a` and some instance of `b` share a Dewey
     /// prefix of `level` components? Sorted-merge over the two type
     /// sequences comparing `level × 4` key bytes, borrowed straight from
     /// the iterator's keys (keys only — values are never materialized).
-    fn co_occur_btree(&self, a: TypeId, b: TypeId, level: usize) -> bool {
+    fn co_occur_btree(&self, a: TypeId, b: TypeId, level: usize) -> StoreResult<bool> {
         let plen = level * 4;
         let mut ia = self.typeseq.scan_prefix(&a.0.to_be_bytes());
         let mut ib = self.typeseq.scan_prefix(&b.0.to_be_bytes());
-        let mut ka = ia.next_key().unwrap_or(None);
-        let mut kb = ib.next_key().unwrap_or(None);
+        let mut ka = ia.next_key()?;
+        let mut kb = ib.next_key()?;
         while let (Some(x), Some(y)) = (&ka, &kb) {
             // Skip the 4-byte type prefix; compare Dewey bytes in place.
             let px = &x[4..(4 + plen).min(x.len())];
@@ -2357,25 +2321,25 @@ impl ShreddedDoc {
                     // Same prefix — but for an ancestor/descendant pair
                     // the prefix must be fully present in both.
                     if px.len() == plen && py.len() == plen {
-                        return true;
+                        return Ok(true);
                     }
                     // One of the keys is shorter than the level: advance it.
                     if px.len() < plen {
-                        ka = ia.next_key().unwrap_or(None);
+                        ka = ia.next_key()?;
                     } else {
-                        kb = ib.next_key().unwrap_or(None);
+                        kb = ib.next_key()?;
                     }
                 }
-                std::cmp::Ordering::Less => ka = ia.next_key().unwrap_or(None),
-                std::cmp::Ordering::Greater => kb = ib.next_key().unwrap_or(None),
+                std::cmp::Ordering::Less => ka = ia.next_key()?,
+                std::cmp::Ordering::Greater => kb = ib.next_key()?,
             }
         }
-        false
+        Ok(false)
     }
 
     /// [`ShreddedDoc::scan_type`] through the B+tree (reference).
-    pub fn scan_type_btree(&self, t: TypeId) -> Vec<(Dewey, String)> {
-        typeseq_rows(&self.typeseq, &t.0.to_be_bytes())
+    pub fn scan_type_btree(&self, t: TypeId) -> MorphResult<Vec<(Dewey, String)>> {
+        typeseq_rows(&self.typeseq, &t.0.to_be_bytes()).in_op("scan tree \"typeseq\"")
     }
 }
 
@@ -2675,10 +2639,11 @@ impl Snapshot {
 
     fn compute_distance(&self, a: TypeId, b: TypeId) -> Option<usize> {
         let mut cols = None;
-        distance_by_levels(&self.version.shape, a, b, |level| {
+        let Ok(d) = distance_by_levels(&self.version.shape, a, b, |level| {
             let (ca, cb) = cols.get_or_insert_with(|| (self.column(a), self.column(b)));
-            co_occur_columns(ca, cb, level)
-        })
+            Ok::<_, std::convert::Infallible>(co_occur_columns(ca, cb, level))
+        });
+        d
     }
 
     /// The cached plan for a closest join of `child_type` instances
@@ -2841,9 +2806,9 @@ impl Snapshot {
         parent: &Dewey,
         parent_type: TypeId,
         child_type: TypeId,
-    ) -> Vec<(Dewey, String)> {
+    ) -> MorphResult<Vec<(Dewey, String)>> {
         let Some((l, _)) = self.join_plan(parent_type, child_type) else {
-            return Vec::new();
+            return Ok(Vec::new());
         };
         debug_assert_eq!(
             parent.len(),
@@ -2854,7 +2819,7 @@ impl Snapshot {
         key.extend_from_slice(&child_type.0.to_be_bytes());
         key.extend_from_slice(&prefix.encode());
         let _gate = self.shared.gate.read().unwrap();
-        typeseq_rows(&self.typeseq, &key)
+        typeseq_rows(&self.typeseq, &key).in_op("scan tree \"typeseq\"")
     }
 }
 
@@ -3085,19 +3050,23 @@ mod tests {
         let snap = doc.snapshot();
         let types: Vec<TypeId> = doc.types().ids().collect();
         for &t in &types {
-            assert_eq!(snap.scan_type(t), doc.scan_type_btree(t), "scan {t:?}");
+            assert_eq!(
+                snap.scan_type(t),
+                doc.scan_type_btree(t).unwrap(),
+                "scan {t:?}"
+            );
         }
         for &a in &types {
             for &b in &types {
                 assert_eq!(
                     snap.type_distance_exact(a, b),
-                    doc.type_distance_btree(a, b),
+                    doc.type_distance_btree(a, b).unwrap(),
                     "distance {a:?} {b:?}"
                 );
                 for (parent, _) in snap.scan_type(a) {
                     assert_eq!(
                         snap.closest_children(&parent, a, b),
-                        snap.closest_children_btree(&parent, a, b),
+                        snap.closest_children_btree(&parent, a, b).unwrap(),
                         "join {parent} {a:?} {b:?}"
                     );
                 }
@@ -3246,30 +3215,11 @@ mod tests {
         let col = doc.column(t);
         // Unix file-backed stores serve the segment via mmap.
         assert_eq!(col.is_mapped(), store.supports_mmap());
-        assert_eq!(doc.scan_type(t), doc.scan_type_btree(t));
+        assert_eq!(doc.scan_type(t), doc.scan_type_btree(t).unwrap());
         assert!(doc.segment_fallbacks().is_empty(), "no fallback expected");
         if col.is_mapped() {
             assert!(doc.column_bytes().mapped > 0);
         }
-        drop((doc, store));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mmap_off_copies_to_heap() {
-        let path = temp_path("persist-no-mmap.db");
-        {
-            let store = Store::create(&path).unwrap();
-            ShreddedDoc::shred_str(&store, FIG1A).unwrap();
-            store.close().unwrap();
-        }
-        let store = Store::open(&path).unwrap();
-        let doc = ShreddedDoc::open_with(&store, &OpenOptions::builder().mmap(false)).unwrap();
-        let t = ty(&doc, "data.book.title");
-        let col = doc.column(t);
-        assert!(!col.is_mapped());
-        assert_eq!(doc.column_bytes().mapped, 0);
-        assert_eq!(doc.scan_type(t), doc.scan_type_btree(t));
         drop((doc, store));
         std::fs::remove_file(&path).ok();
     }
@@ -3325,15 +3275,15 @@ mod tests {
             .unwrap();
         let t = ty(&doc, "data.book.title");
         assert!(!doc.column(t).is_mapped());
-        assert_eq!(doc.scan_type(t), doc.scan_type_btree(t));
+        assert_eq!(doc.scan_type(t), doc.scan_type_btree(t).unwrap());
         drop((doc, store));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn column_budget_evicts() {
-        // A one-byte budget: each new column evicts the rest. Budget is
-        // an open-time knob, so shred to a file and reopen.
+        // A one-byte budget: each new column evicts the rest. A reopened
+        // file store serves mapped segments, which count too.
         let path = temp_path("budget.db");
         {
             let store = Store::create(&path).unwrap();
@@ -3341,7 +3291,8 @@ mod tests {
             store.close().unwrap();
         }
         let store = Store::open(&path).unwrap();
-        let doc = ShreddedDoc::open_with(&store, &OpenOptions::builder().column_budget(1)).unwrap();
+        let doc = ShreddedDoc::open(&store).unwrap();
+        doc.set_column_budget(Some(1));
         for t in doc.types().ids().collect::<Vec<_>>() {
             let _ = doc.column(t);
             assert!(doc.columns.read().unwrap().len() <= 1);
@@ -3383,7 +3334,7 @@ mod tests {
         let doc = ShreddedDoc::open(&store).unwrap();
         let t = ty(&doc, "data.book.title");
         // Bytes still correct (rebuilt), fallback recorded.
-        assert_eq!(doc.scan_type(t), doc.scan_type_btree(t));
+        assert_eq!(doc.scan_type(t), doc.scan_type_btree(t).unwrap());
         assert!(
             !doc.segment_fallbacks().is_empty(),
             "corruption should be recorded"
@@ -3394,7 +3345,7 @@ mod tests {
         let store = Store::open(&path).unwrap();
         let doc = ShreddedDoc::open(&store).unwrap();
         let snap = doc.snapshot();
-        assert_eq!(snap.scan_type(t), doc.scan_type_btree(t));
+        assert_eq!(snap.scan_type(t), doc.scan_type_btree(t).unwrap());
         assert!(
             !doc.segment_fallbacks().is_empty(),
             "a snapshot's fallback should be recorded on the document"
@@ -3489,12 +3440,12 @@ mod tests {
                 for &b in &types {
                     assert_eq!(
                         snap.type_distance_exact(a, b),
-                        doc.type_distance_btree(a, b),
+                        doc.type_distance_btree(a, b).unwrap(),
                         "distance {a:?}->{b:?}"
                     );
                     let want: Vec<Vec<(Dewey, String)>> = parents
                         .iter()
-                        .map(|p| snap.closest_children_btree(p, a, b))
+                        .map(|p| snap.closest_children_btree(p, a, b).unwrap())
                         .collect();
                     for (p, w) in parents.iter().zip(&want) {
                         assert_eq!(&snap.closest_children(p, a, b), w, "join {p} {a:?}->{b:?}");
@@ -3633,12 +3584,7 @@ mod tests {
         let opts = ShredOptions::builder().memory_budget(64 * 1024);
         let st = ShreddedDoc::shred_str_with(&store, &xml, &opts).unwrap();
 
-        let dump = |d: &ShreddedDoc| {
-            (
-                d.nodes.scan_prefix(&[]).collect::<Vec<_>>(),
-                d.typeseq.scan_prefix(&[]).collect::<Vec<_>>(),
-            )
-        };
+        let dump = |d: &ShreddedDoc| d.typeseq.scan_prefix(&[]).entries().unwrap();
         assert_eq!(dump(&inc), dump(&st));
         let title = ty(&inc, "lib.book.title");
         assert_eq!(inc.scan_type(title), st.scan_type(title));
@@ -3771,8 +3717,7 @@ mod tests {
         let dump = |store: &Store, opts: &ShredOptions| {
             let d = ShreddedDoc::shred_str_with(store, &xml, opts).unwrap();
             (
-                d.nodes.scan_prefix(&[]).collect::<Vec<_>>(),
-                d.typeseq.scan_prefix(&[]).collect::<Vec<_>>(),
+                d.typeseq.scan_prefix(&[]).entries().unwrap(),
                 d.shape().to_bytes(),
             )
         };

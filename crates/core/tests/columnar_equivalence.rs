@@ -18,14 +18,18 @@
 //!   `insert_subtree_before` / `delete_subtree` / `update_text`) is
 //!   equivalent to a *fresh shred* of the correspondingly mutated XML —
 //!   and byte-identical at the column level when the operation mix
-//!   preserves dense Dewey labels (updates and appends only).
+//!   preserves dense Dewey labels (updates and appends only);
+//! * after every mutation, `node_type` and `node_text` — a walk of the
+//!   shape over `typeseq` — answer like the xmlkit DOM of the mutated
+//!   XML for every vertex, and `None` for labels that name no vertex.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use xmorph_core::{Guard, OpenOptions, ShredOptions, ShreddedDoc, TypeId};
+use xmorph_core::{Dewey, Guard, OpenOptions, ShredOptions, ShreddedDoc, TypeId};
 use xmorph_pagestore::Store;
+use xmorph_xml::dom::{Document, NodeId};
 
 fn temp_path(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -84,18 +88,18 @@ proptest! {
         let snap = doc.snapshot();
         let types: Vec<TypeId> = doc.types().ids().collect();
         for &t in &types {
-            prop_assert_eq!(snap.scan_type(t), doc.scan_type_btree(t));
+            prop_assert_eq!(snap.scan_type(t), doc.scan_type_btree(t).unwrap());
         }
         for &a in &types {
             for &b in &types {
                 prop_assert_eq!(
                     snap.type_distance_exact(a, b),
-                    doc.type_distance_btree(a, b),
+                    doc.type_distance_btree(a, b).unwrap(),
                     "typeDistance({:?}, {:?})", a, b
                 );
                 for (parent, _) in snap.scan_type(a) {
                     let columnar = snap.closest_children(&parent, a, b);
-                    let btree = snap.closest_children_btree(&parent, a, b);
+                    let btree = snap.closest_children_btree(&parent, a, b).unwrap();
                     prop_assert_eq!(
                         snap.has_closest_child(&parent, a, b),
                         !btree.is_empty(),
@@ -432,7 +436,7 @@ fn assert_equivalent(doc: &ShreddedDoc, fresh: &ShreddedDoc) {
         }
         assert_eq!(
             doc.scan_type(dt),
-            doc.scan_type_btree(dt),
+            doc.scan_type_btree(dt).unwrap(),
             "column vs btree for {dotted}"
         );
     }
@@ -442,6 +446,103 @@ fn assert_equivalent(doc: &ShreddedDoc, fresh: &ShreddedDoc) {
             g.apply(doc).map(|o| o.xml).map_err(|e| e.to_string()),
             g.apply(fresh).map(|o| o.xml).map_err(|e| e.to_string()),
             "guard {guard}"
+        );
+    }
+}
+
+/// The vertices of a DOM subtree in document order — each element,
+/// then its attributes (as `@name` children, which the shredder numbers
+/// first), then its child elements — as (label path, trimmed direct
+/// text; an attribute's value as is).
+fn dom_vertices(
+    dom: &Document,
+    id: NodeId,
+    path: &mut Vec<String>,
+    out: &mut Vec<(Vec<String>, String)>,
+) {
+    path.push(dom.name(id).to_string());
+    out.push((path.clone(), dom.direct_text(id).trim().to_string()));
+    for (name, value) in dom.attrs(id) {
+        path.push(format!("@{name}"));
+        out.push((path.clone(), value.clone()));
+        path.pop();
+    }
+    for c in dom.children(id) {
+        dom_vertices(dom, c, path, out);
+    }
+    path.pop();
+}
+
+/// `node_type` and `node_text` against the xmlkit DOM of the twin. The
+/// document's rows in Dewey order are the DOM's vertices in document
+/// order, so the `i`-th label must name the `i`-th vertex's label-path
+/// type and hold its text. Labels that name no vertex — one past a
+/// vertex's last child, one level below a leaf, the root's next
+/// sibling, and every ordinal inside a gap that a delete or a renumber
+/// left — must be `None`.
+fn assert_locates_like_dom(doc: &ShreddedDoc, twin: &TwinNode) {
+    let dom = Document::parse_str(&twin.serialize()).expect("twin reparses");
+    let mut want = Vec::new();
+    dom_vertices(
+        &dom,
+        dom.root_element().expect("root"),
+        &mut Vec::new(),
+        &mut want,
+    );
+    let mut rows: Vec<(Dewey, TypeId)> = doc
+        .types()
+        .ids()
+        .flat_map(|t| doc.scan_type(t).into_iter().map(move |(d, _)| (d, t)))
+        .collect();
+    rows.sort_by(|a, b| a.0.components().cmp(b.0.components()));
+    assert_eq!(rows.len(), want.len(), "vertex count");
+    for ((dewey, t), (path, text)) in rows.iter().zip(&want) {
+        let dotted = path.join(".");
+        assert_eq!(
+            doc.types().lookup(path),
+            Some(*t),
+            "type of {dewey} is {dotted}"
+        );
+        assert_eq!(doc.node_type(dewey).unwrap(), Some(*t), "node_type {dewey}");
+        assert_eq!(
+            doc.node_text(dewey).unwrap().as_deref(),
+            Some(text.as_str()),
+            "node_text {dewey}"
+        );
+    }
+    // Child ordinals per label: rows are sorted, so each child list
+    // comes out ascending.
+    let mut kids: std::collections::HashMap<&[u32], Vec<u32>> = Default::default();
+    for (dewey, _) in &rows {
+        let c = dewey.components();
+        kids.entry(c).or_default();
+        if let Some((&ord, parent)) = c.split_last() {
+            kids.entry(parent).or_default().push(ord);
+        }
+    }
+    let mut absent = vec![Dewey::from_components(vec![2])];
+    for (label, ords) in &kids {
+        if label.is_empty() {
+            continue;
+        }
+        let at = |ord: u32| Dewey::from_components([*label, &[ord]].concat());
+        absent.push(at(ords.last().map_or(1, |&m| m + 1)));
+        let mut prev = 0;
+        for &ord in ords {
+            absent.extend((prev + 1..ord).map(at));
+            prev = ord;
+        }
+    }
+    for dewey in &absent {
+        assert_eq!(
+            doc.node_type(dewey).unwrap(),
+            None,
+            "node_type {dewey} names no vertex"
+        );
+        assert_eq!(
+            doc.node_text(dewey).unwrap(),
+            None,
+            "node_text {dewey} names no vertex"
         );
     }
 }
@@ -458,6 +559,7 @@ proptest! {
         let mut twin = TwinNode::parse(xmark_base());
         for op in &ops {
             apply_op(&mut doc, &mut twin, op);
+            assert_locates_like_dom(&doc, &twin);
         }
         let (_fs, fresh) = shred(&twin.serialize());
         assert_equivalent(&doc, &fresh);
@@ -731,7 +833,7 @@ proptest! {
         let types: Vec<TypeId> = inc.types().ids().collect();
         for &t in &types {
             prop_assert_eq!(inc.scan_type(t), st.scan_type(t));
-            prop_assert_eq!(inc.scan_type_btree(t), st.scan_type_btree(t));
+            prop_assert_eq!(inc.scan_type_btree(t).unwrap(), st.scan_type_btree(t).unwrap());
             for (d, _) in inc.scan_type(t) {
                 prop_assert_eq!(inc.node_text(&d).unwrap(), st.node_text(&d).unwrap());
                 prop_assert_eq!(inc.node_type(&d).unwrap(), st.node_type(&d).unwrap());

@@ -124,7 +124,7 @@ fn check_reopened(image: Vec<u8>, crash_at: u64, exact: bool) {
         Ok(s) => s,
         Err(_) => return,
     };
-    let opts = OpenOptions::builder().persisted_columns(true).mmap(false);
+    let opts = OpenOptions::builder().persisted_columns(true);
     let doc = match ShreddedDoc::open_with(&store, &opts) {
         Ok(d) => d,
         Err(_) => return,
@@ -197,7 +197,7 @@ fn clean_close_reopens_with_no_fallbacks() {
 
     let (storage, _h) = FaultStorage::with_image(handle.image(), FaultScript::none());
     let store = Store::options().with_storage(Box::new(storage)).unwrap();
-    let opts = OpenOptions::builder().persisted_columns(true).mmap(false);
+    let opts = OpenOptions::builder().persisted_columns(true);
     let doc = ShreddedDoc::open_with(&store, &opts).unwrap();
     let titles = doc
         .types()
@@ -243,7 +243,7 @@ fn corrupt_column_segment_falls_back_to_rebuild() {
         store.put_segment(name, b"not a column segment").unwrap();
     }
 
-    let opts = OpenOptions::builder().persisted_columns(true).mmap(false);
+    let opts = OpenOptions::builder().persisted_columns(true);
     let doc = ShreddedDoc::open_with(&store, &opts).unwrap();
     let reference = {
         let clean = Store::in_memory();

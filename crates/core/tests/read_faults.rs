@@ -18,9 +18,11 @@
 //!   instances of every type as there are rows.
 //!
 //! Anything else is counted as a partial outcome, and there must be
-//! none. A last sweep does the same to a spilling bulk shred.
+//! none. A last sweep does the same to a spilling bulk shred, and one
+//! more checks that a failed read of the column a mutation pins into a
+//! live snapshot fails the mutation instead of emptying the snapshot.
 
-use xmorph_core::render::{render, RenderOptions};
+use xmorph_core::render::{render, render_snapshot, RenderOptions};
 use xmorph_core::{Dewey, Guard, MorphError, MorphResult, OpenOptions, ShredOptions, ShreddedDoc};
 use xmorph_pagestore::{FaultHandle, FaultScript, FaultStorage, Store};
 
@@ -68,11 +70,11 @@ fn base_image() -> Vec<u8> {
 }
 
 /// Everything a mutation may change, read back through the store: the
-/// `nodes`, `typeseq` and `meta` trees entry by entry, and the shape a
-/// cold open rebuilds from them.
+/// `typeseq` and `meta` trees entry by entry, and the shape a cold open
+/// rebuilds from them.
 fn state(store: &Store) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
-    for name in ["nodes", "typeseq", "meta"] {
+    for name in ["typeseq", "meta"] {
         let tree = store.open_tree(name).expect("open tree");
         let mut scan = tree.range(..);
         while let Some((k, v)) = scan.next_entry().expect("dump scan") {
@@ -418,10 +420,10 @@ fn delete_subtree_write_faults_leave_the_writer_at_its_store() {
     check_write_faults("delete_subtree", |doc| doc.delete_subtree(&target));
 }
 
-/// A shred budget small enough that both sorted streams spill dozens of
-/// runs at the 4 KiB-per-stream floor, and that `lib.big.item.v`'s
-/// column outgrows its share of the budget, so the shred also builds it
-/// by the per-type decode after the merge.
+/// A shred budget small enough that the sorted stream spills dozens of
+/// runs at its 8 KiB half of the budget, and that `lib.big.item.v`'s
+/// column outgrows that share, so the shred also builds it by the
+/// per-type decode after the merge.
 const SHRED_BUDGET: usize = 16 << 10;
 
 fn fault_store(script: FaultScript) -> (Store, FaultHandle) {
@@ -437,7 +439,7 @@ fn fault_store(script: FaultScript) -> (Store, FaultHandle) {
 /// Every tree entry and every segment, by name, of a shredded store.
 fn stored(store: &Store) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
-    for name in ["nodes", "typeseq", "meta"] {
+    for name in ["typeseq", "meta"] {
         let tree = store.open_tree(name).expect("open tree");
         let mut scan = tree.range(..);
         while let Some((k, v)) = scan.next_entry().expect("dump scan") {
@@ -505,4 +507,53 @@ fn spilling_bulk_shred_fails_whole_on_any_read_error() {
         tally.partial.len()
     );
     check("spilling shred", tally);
+}
+
+#[test]
+fn a_failed_snapshot_pin_fails_the_update_and_keeps_the_snapshot() {
+    // Columns decode from `typeseq` (no persisted segments), so one
+    // failed read can fail the load of the pre-mutation column that
+    // the update pins into the live snapshot.
+    let image = base_image();
+    let target = Dewey::from_components(vec![1, 1, 1, 1]);
+    let (store, _) = open_store(image.clone(), FaultScript::none());
+    let doc = open_decoding(&store);
+    let guard = Guard::parse("MORPH item [ v ]").expect("parse guard");
+    let shape = guard.analyze(&doc).expect("analyze guard").target;
+    let opts = RenderOptions::default();
+    let before = render(&doc, &shape, &opts).expect("render");
+    drop((doc, store));
+
+    // A fresh snapshot of a fresh open holds no column, so the update
+    // pins `lib.big.item.v` into it before writing.
+    let run = |script: FaultScript| {
+        let (store, handle) = open_store(image.clone(), script);
+        let mut doc = open_decoding(&store);
+        let snap = doc.snapshot();
+        let first = handle.reads();
+        let outcome = doc.update_text(&target, "changed");
+        (doc, snap, outcome, first..handle.reads())
+    };
+    let (_, snap, outcome, reads) = run(FaultScript::none());
+    outcome.expect("fault-free update");
+    assert_eq!(render_snapshot(&snap, &shape, &opts).unwrap(), before);
+
+    let mut failed = 0;
+    for k in reads {
+        let (doc, snap, outcome, _) = run(FaultScript::none().fail_read(k));
+        assert_eq!(
+            render_snapshot(&snap, &shape, &opts).unwrap(),
+            before,
+            "read {k}: the pinned snapshot lost its pre-mutation state ({outcome:?})"
+        );
+        if outcome.is_err() {
+            failed += 1;
+            assert_eq!(
+                render(&doc, &shape, &opts).unwrap(),
+                before,
+                "read {k}: a failed update changed the document"
+            );
+        }
+    }
+    assert!(failed > 0, "no injected read failed the update");
 }

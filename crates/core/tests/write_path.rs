@@ -198,9 +198,9 @@ fn blob_only_store_opens_to_the_same_shape() {
         let live = doc.shape().to_bytes();
         // Rewrite the store into the old layout.
         let meta = store.open_tree("meta").unwrap();
-        let rows: Vec<Vec<u8>> = meta.scan_prefix(b"shape.").map(|(k, _)| k).collect();
+        let rows = meta.scan_prefix(b"shape.").entries().unwrap();
         assert!(!rows.is_empty());
-        for k in rows {
+        for (k, _) in rows {
             meta.delete(&k).unwrap();
         }
         meta.insert(b"shape", &live).unwrap();
@@ -254,4 +254,33 @@ fn inserts_and_deletes_do_not_leak_pages() {
     store.close().unwrap();
     drop((doc, store));
     std::fs::remove_file(&path).ok();
+}
+
+/// A store holds `typeseq` and `meta` and no other tree: no shred
+/// pipeline and no mutation keeps a second copy of the rows.
+#[test]
+fn shreds_and_mutations_keep_only_typeseq_and_meta() {
+    use xmorph_core::ShredOptions;
+    let trees = |store: &Store| {
+        let mut names = store.tree_names();
+        names.sort();
+        names
+    };
+    let d = |s: &str| s.parse::<Dewey>().unwrap();
+    for opts in [
+        ShredOptions::builder().bulk_load(false),
+        ShredOptions::builder(),
+        ShredOptions::builder().memory_budget(1),
+    ] {
+        let store = Store::in_memory();
+        let mut doc = ShreddedDoc::shred_str_with(&store, LIBRARY, &opts).unwrap();
+        assert_eq!(trees(&store), ["meta", "typeseq"], "after the shred");
+        doc.update_text(&d("1.1.1"), "Z").unwrap();
+        doc.insert_subtree(&d("1.2"), FRAGMENTS[0]).unwrap();
+        // No gap before book 1.2: the insert renumbers the tail.
+        doc.insert_subtree_before(&d("1.2"), FRAGMENTS[3]).unwrap();
+        doc.delete_subtree(&d("1.1")).unwrap();
+        assert_eq!(trees(&store), ["meta", "typeseq"], "after the mutations");
+        counts_match_rows(&doc);
+    }
 }

@@ -706,9 +706,11 @@ impl<'a> BTree<'a> {
         Err(StoreError::Corrupt("tree deeper than the descent bound"))
     }
 
-    /// True if the key is present.
+    /// True if the key is present: one descent, no value read.
     pub fn contains(&self, key: &[u8]) -> StoreResult<bool> {
-        Ok(self.get(key)?.is_some())
+        let leaf = self.leaf_for(key)?;
+        self.pool
+            .read_with(leaf, |p| search_slots(p, key, leaf_cell_key).is_ok())
     }
 
     /// Remove a key. Returns `true` if it was present. Pages are not
@@ -725,7 +727,7 @@ impl<'a> BTree<'a> {
                 TAG_INTERIOR => Next::Child(child_for_key(p, key)),
                 TAG_LEAF => match search_slots(p, key, leaf_cell_key) {
                     Ok(i) => {
-                        remove_slot(p, i);
+                        remove_slots(p, i..i + 1);
                         Next::Done(true)
                     }
                     Err(_) => Next::Done(false),
@@ -839,13 +841,48 @@ impl<'a> BTree<'a> {
     }
 
     /// Number of keys in `[start, end)` (`end = None`: no upper bound)
-    /// without materialising any of them: one descent to `start`'s leaf,
-    /// then per leaf two binary searches and a slot-count difference,
-    /// following sibling links (over emptied leaves too) until a leaf
-    /// holds a key at or past `end`.
+    /// without materialising any of them: per leaf in range, two binary
+    /// searches and a slot-count difference.
     pub fn count_range(&self, start: &[u8], end: Option<&[u8]>) -> StoreResult<u64> {
-        let mut page = self.leaf_for(start)?;
         let mut count = 0u64;
+        self.walk_range(start, end, |_, span| {
+            count += span.len() as u64;
+            Ok(())
+        })?;
+        Ok(count)
+    }
+
+    /// Remove every key in `[start, end)` (`end = None`: no upper bound)
+    /// and return the removed keys in order: each leaf in range is
+    /// written once, instead of one descent per key. Like
+    /// [`BTree::delete`], it leaves leaves unbalanced.
+    pub fn delete_range(&mut self, start: &[u8], end: Option<&[u8]>) -> StoreResult<Vec<Vec<u8>>> {
+        let mut removed = Vec::new();
+        self.walk_range(start, end, |page, span| {
+            if span.is_empty() {
+                return Ok(());
+            }
+            self.pool.write_with(page, |p| {
+                let keys = span.clone().map(|i| leaf_cell_key(p, slot(p, i)).to_vec());
+                removed.extend(keys);
+                remove_slots(p, span);
+            })
+        })?;
+        Ok(removed)
+    }
+
+    /// Visit the leaves holding keys in `[start, end)` with each leaf's
+    /// in-range slot span: one descent to `start`'s leaf, then per leaf
+    /// two binary searches, following sibling links (over emptied
+    /// leaves too) until a leaf holds a key at or past `end`. Keys are
+    /// never materialised here.
+    fn walk_range(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        mut visit: impl FnMut(PageId, std::ops::Range<usize>) -> StoreResult<()>,
+    ) -> StoreResult<()> {
+        let mut page = self.leaf_for(start)?;
         let mut hops = 0u64;
         loop {
             let step = self.pool.read_with(page, |p| {
@@ -857,14 +894,14 @@ impl<'a> BTree<'a> {
                 };
                 let n = nkeys(p);
                 let hi = end.map_or(n, at);
-                Some((hi.saturating_sub(at(start)), hi < n, next_leaf(p)))
+                Some((at(start).min(hi)..hi, hi < n, next_leaf(p)))
             })?;
-            let Some((in_leaf, ends_here, next)) = step else {
+            let Some((span, ends_here, next)) = step else {
                 return Err(StoreError::Corrupt("leaf chain reached a non-leaf page"));
             };
-            count += in_leaf as u64;
+            visit(page, span)?;
             if ends_here || next == NIL {
-                return Ok(count);
+                return Ok(());
             }
             hops += 1;
             if hops > self.pool.page_count() {
@@ -874,50 +911,26 @@ impl<'a> BTree<'a> {
         }
     }
 
-    /// Ordered scan of `[start, end)` style bounds over (key, value) pairs.
-    pub fn range(&self, start: Bound<&[u8]>, end: Bound<Vec<u8>>) -> StoreResult<RangeIter<'a>> {
-        // Find the first leaf/slot at or after `start`.
-        let start_key: &[u8] = match start {
-            Bound::Included(k) | Bound::Excluded(k) => k,
-            Bound::Unbounded => &[],
-        };
-        let page = self.leaf_for(start_key)?;
-        let mut iter = RangeIter {
+    /// Ordered scan of `[start, end)` style bounds over (key, value)
+    /// pairs. The descent to `start` waits for the scan's first step,
+    /// so a failed descent is that step's error.
+    pub fn range(&self, start: Bound<Vec<u8>>, end: Bound<Vec<u8>>) -> RangeIter<'a> {
+        RangeIter {
             pool: self.pool,
-            leaf: page,
+            seek: Some((self.root, start)),
+            leaf: NIL,
             buffered: Vec::new(),
             pos: 0,
             end,
-            error: None,
             hops: 0,
-        };
-        iter.fill_from_leaf()?;
-        // Skip entries before the start bound.
-        while let Some(k) = iter.peek_key() {
-            let skip = match start {
-                Bound::Included(s) => k < s,
-                Bound::Excluded(s) => k <= s,
-                Bound::Unbounded => false,
-            };
-            if !skip {
-                break;
-            }
-            iter.pos += 1;
-            if iter.pos >= iter.buffered.len() {
-                iter.advance_leaf()?;
-                if iter.leaf == NIL && iter.buffered.is_empty() {
-                    break;
-                }
-            }
         }
-        Ok(iter)
     }
 
     /// Number of entries — O(n), full scan.
     pub fn len(&self) -> StoreResult<usize> {
         let mut n = 0;
-        let mut iter = self.range(Bound::Unbounded, Bound::Unbounded)?;
-        while iter.next_entry()?.is_some() {
+        let mut iter = self.range(Bound::Unbounded, Bound::Unbounded);
+        while iter.next_key()?.is_some() {
             n += 1;
         }
         Ok(n)
@@ -925,8 +938,8 @@ impl<'a> BTree<'a> {
 
     /// True when the tree holds no entries — O(1) on the first leaf.
     pub fn is_empty(&self) -> StoreResult<bool> {
-        let mut iter = self.range(Bound::Unbounded, Bound::Unbounded)?;
-        Ok(iter.next_entry()?.is_none())
+        let mut iter = self.range(Bound::Unbounded, Bound::Unbounded);
+        Ok(iter.next_key()?.is_none())
     }
 
     // ---- internals ----
@@ -955,7 +968,7 @@ impl<'a> BTree<'a> {
             match search_slots(p, key, leaf_cell_key) {
                 Ok(i) => {
                     // Replace: drop the old slot, then insert fresh below.
-                    remove_slot(p, i);
+                    remove_slots(p, i..i + 1);
                     if free_or_compact(p, cell_size + 2) {
                         leaf_insert_at(p, i, key, stored, flags, vlen);
                         (true, false)
@@ -982,7 +995,7 @@ impl<'a> BTree<'a> {
         let ok = self.pool.write_with(target, |p| {
             let i = match search_slots(p, key, leaf_cell_key) {
                 Ok(i) => {
-                    remove_slot(p, i);
+                    remove_slots(p, i..i + 1);
                     i
                 }
                 Err(i) => i,
@@ -1231,14 +1244,15 @@ fn child_for_key(p: &[u8], key: &[u8]) -> PageId {
     }
 }
 
-/// Remove slot `i` (cell bytes become garbage until compaction).
-fn remove_slot(p: &mut [u8], i: usize) {
+/// Drop the slots in `span`, closing the gap; the cells become garbage
+/// for the next compaction.
+fn remove_slots(p: &mut [u8], span: std::ops::Range<usize>) {
     let n = nkeys(p);
-    for j in i..n - 1 {
-        let v = slot(p, j + 1);
-        set_slot(p, j, v);
+    for j in span.end..n {
+        let v = slot(p, j);
+        set_slot(p, j - span.len(), v);
     }
-    set_nkeys(p, n - 1);
+    set_nkeys(p, n - span.len());
 }
 
 /// Ensure at least `needed` free bytes, compacting the page if garbage
@@ -1354,14 +1368,17 @@ fn interior_insert_at(p: &mut [u8], i: usize, key: &[u8], child: PageId) {
     set_nkeys(p, n + 1);
 }
 
-/// An ordered iterator over key/value pairs. Buffered one leaf at a time.
+/// An ordered scan over key/value pairs, buffered one leaf at a time.
+/// Every step returns a `StoreResult`: a read fault is an error at the
+/// step that met it, never a scan that ends early.
 pub struct RangeIter<'a> {
     pool: &'a BufferPool,
+    /// The root and start bound of a scan that has not descended yet.
+    seek: Option<(PageId, Bound<Vec<u8>>)>,
     leaf: PageId,
     buffered: Vec<(Vec<u8>, StoredValue)>,
     pos: usize,
     end: Bound<Vec<u8>>,
-    error: Option<StoreError>,
     /// Sibling links followed so far; more hops than allocated pages
     /// means the chain loops (a torn page's stale `next_leaf`).
     hops: u64,
@@ -1373,25 +1390,35 @@ enum StoredValue {
 }
 
 impl<'a> RangeIter<'a> {
-    /// An iterator that yields only `err`: the error-path stand-in for a
-    /// scan whose setup failed, so infallible signatures like
-    /// [`crate::store::Tree::range`] can hand back the error through
-    /// [`RangeIter::next_entry`] / [`RangeIter::error`] instead of
-    /// panicking.
-    pub(crate) fn failed(pool: &'a BufferPool, err: StoreError) -> RangeIter<'a> {
-        RangeIter {
-            pool,
-            leaf: NIL,
-            buffered: Vec::new(),
-            pos: 0,
-            end: Bound::Unbounded,
-            error: Some(err),
-            hops: 0,
+    /// Descend to the first entry inside the start bound, on the first
+    /// step. A failed descent stays pending, so the next step retries
+    /// it rather than scan from nowhere.
+    fn seek(&mut self) -> StoreResult<()> {
+        let Some((root, start)) = self.seek.take() else {
+            return Ok(());
+        };
+        let found = self.descend(root, &start);
+        if found.is_err() {
+            self.seek = Some((root, start));
         }
+        found
     }
 
-    fn peek_key(&self) -> Option<&[u8]> {
-        self.buffered.get(self.pos).map(|(k, _)| k.as_slice())
+    fn descend(&mut self, root: PageId, start: &Bound<Vec<u8>>) -> StoreResult<()> {
+        let start_key: &[u8] = match start {
+            Bound::Included(k) | Bound::Excluded(k) => k,
+            Bound::Unbounded => &[],
+        };
+        self.hops = 0;
+        self.leaf = BTree::open(self.pool, root).leaf_for(start_key)?;
+        self.fill_from_leaf()?;
+        // Every later leaf holds only keys above the start.
+        self.pos = self.buffered.partition_point(|(k, _)| match start {
+            Bound::Included(s) => k < s,
+            Bound::Excluded(s) => k <= s,
+            Bound::Unbounded => false,
+        });
+        Ok(())
     }
 
     /// Buffer the current leaf's cells (keys + stored value descriptors).
@@ -1433,21 +1460,16 @@ impl<'a> RangeIter<'a> {
         }
     }
 
+    /// Move to the next leaf with cells, skipping empty leaves (possible
+    /// after heavy deletion).
     fn advance_leaf(&mut self) -> StoreResult<()> {
-        if self.leaf == NIL {
-            self.buffered.clear();
-            return Ok(());
-        }
-        self.hop()?;
-        let next = self.pool.read_with(self.leaf, next_leaf)?;
-        self.leaf = next;
-        self.fill_from_leaf()?;
-        // Skip empty leaves (possible after heavy deletion).
-        while self.leaf != NIL && self.buffered.is_empty() {
+        while self.leaf != NIL {
             self.hop()?;
-            let next = self.pool.read_with(self.leaf, next_leaf)?;
-            self.leaf = next;
+            self.leaf = self.pool.read_with(self.leaf, next_leaf)?;
             self.fill_from_leaf()?;
+            if !self.buffered.is_empty() {
+                break;
+            }
         }
         Ok(())
     }
@@ -1460,39 +1482,28 @@ impl<'a> RangeIter<'a> {
         Ok(())
     }
 
+    /// Every entry left in the scan, or the first read error.
+    pub fn entries(mut self) -> StoreResult<Vec<(Vec<u8>, Vec<u8>)>> {
+        let mut out = Vec::new();
+        while let Some(entry) = self.next_entry()? {
+            out.push(entry);
+        }
+        Ok(out)
+    }
+
     /// Pull the next entry, resolving overflow values.
     pub fn next_entry(&mut self) -> StoreResult<Option<(Vec<u8>, Vec<u8>)>> {
-        if let Some(e) = &self.error {
-            return Err(e.clone());
+        if !self.ready()? {
+            return Ok(None);
         }
-        loop {
-            if self.pos >= self.buffered.len() {
-                if self.leaf == NIL {
-                    return Ok(None);
-                }
-                self.advance_leaf()?;
-                if self.buffered.is_empty() {
-                    return Ok(None);
-                }
-                continue;
-            }
-            let (key, val) = &self.buffered[self.pos];
-            let past_end = match &self.end {
-                Bound::Included(e) => key.as_slice() > e.as_slice(),
-                Bound::Excluded(e) => key.as_slice() >= e.as_slice(),
-                Bound::Unbounded => false,
-            };
-            if past_end {
-                return Ok(None);
-            }
-            let key = key.clone();
-            let value = match val {
-                StoredValue::Inline(v) => v.clone(),
-                StoredValue::Overflow { head, total } => read_overflow(self.pool, *head, *total)?,
-            };
-            self.pos += 1;
-            return Ok(Some((key, value)));
-        }
+        // The value first: a failed overflow read leaves the entry to retry.
+        let value = match &mut self.buffered[self.pos].1 {
+            StoredValue::Inline(v) => std::mem::take(v),
+            StoredValue::Overflow { head, total } => read_overflow(self.pool, *head, *total)?,
+        };
+        let key = std::mem::take(&mut self.buffered[self.pos].0);
+        self.pos += 1;
+        Ok(Some((key, value)))
     }
 
     /// Pull the next entry's key only, leaving the value untouched (no
@@ -1500,56 +1511,28 @@ impl<'a> RangeIter<'a> {
     /// the co-occurrence pass behind `typeDistance` — compare keys
     /// alone, so this skips one value allocation per step.
     pub fn next_key(&mut self) -> StoreResult<Option<Vec<u8>>> {
-        if let Some(e) = &self.error {
-            return Err(e.clone());
+        if !self.ready()? {
+            return Ok(None);
         }
-        loop {
-            if self.pos >= self.buffered.len() {
-                if self.leaf == NIL {
-                    return Ok(None);
-                }
-                self.advance_leaf()?;
-                if self.buffered.is_empty() {
-                    return Ok(None);
-                }
-                continue;
-            }
-            let (key, _) = &self.buffered[self.pos];
-            let past_end = match &self.end {
-                Bound::Included(e) => key.as_slice() > e.as_slice(),
-                Bound::Excluded(e) => key.as_slice() >= e.as_slice(),
-                Bound::Unbounded => false,
-            };
-            if past_end {
-                return Ok(None);
-            }
-            let key = key.clone();
-            self.pos += 1;
-            return Ok(Some(key));
-        }
+        self.pos += 1;
+        Ok(Some(std::mem::take(&mut self.buffered[self.pos - 1].0)))
     }
-}
 
-impl<'a> Iterator for RangeIter<'a> {
-    type Item = (Vec<u8>, Vec<u8>);
-
-    /// Iterator sugar over [`RangeIter::next_entry`]; I/O errors stop the
-    /// iteration and are stashed in the iterator (see [`RangeIter::error`]).
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.next_entry() {
-            Ok(e) => e,
-            Err(err) => {
-                self.error = Some(err);
-                None
-            }
+    /// Make the next entry the buffered one at `pos`, reading leaves as
+    /// needed; `false` at the end of the scan.
+    fn ready(&mut self) -> StoreResult<bool> {
+        self.seek()?;
+        if self.pos >= self.buffered.len() && self.leaf != NIL {
+            self.advance_leaf()?;
         }
-    }
-}
-
-impl<'a> RangeIter<'a> {
-    /// An I/O error encountered by the `Iterator` impl, if any.
-    pub fn error(&self) -> Option<&StoreError> {
-        self.error.as_ref()
+        let Some((key, _)) = self.buffered.get(self.pos) else {
+            return Ok(false);
+        };
+        Ok(match &self.end {
+            Bound::Included(e) => key <= e,
+            Bound::Excluded(e) => key < e,
+            Bound::Unbounded => true,
+        })
     }
 }
 
@@ -1612,7 +1595,9 @@ mod tests {
         }
         let keys: Vec<Vec<u8>> = t
             .range(Bound::Unbounded, Bound::Unbounded)
+            .entries()
             .unwrap()
+            .into_iter()
             .map(|(k, _)| k)
             .collect();
         assert_eq!(keys.len(), 1000);
@@ -1630,10 +1615,12 @@ mod tests {
         }
         let got: Vec<String> = t
             .range(
-                Bound::Included(b"010".as_slice()),
+                Bound::Included(b"010".to_vec()),
                 Bound::Excluded(b"015".to_vec()),
             )
+            .entries()
             .unwrap()
+            .into_iter()
             .map(|(k, _)| String::from_utf8(k).unwrap())
             .collect();
         assert_eq!(got, vec!["010", "011", "012", "013", "014"]);
@@ -1648,10 +1635,12 @@ mod tests {
         t.insert(b"b/1", b"").unwrap();
         let got: Vec<Vec<u8>> = t
             .range(
-                Bound::Included(b"a/".as_slice()),
+                Bound::Included(b"a/".to_vec()),
                 Bound::Excluded(b"a0".to_vec()),
             )
+            .entries()
             .unwrap()
+            .into_iter()
             .map(|(k, _)| k)
             .collect();
         assert_eq!(got, vec![b"a/1".to_vec(), b"a/2".to_vec()]);
@@ -1668,8 +1657,8 @@ mod tests {
         // Overflow values also come back through scans.
         let all: Vec<(Vec<u8>, Vec<u8>)> = t
             .range(Bound::Unbounded, Bound::Unbounded)
-            .unwrap()
-            .collect();
+            .entries()
+            .unwrap();
         assert_eq!(all[0].1.len(), 100_000);
         assert_eq!(all[1].1, b"s");
     }
@@ -1766,7 +1755,9 @@ mod tests {
             }
             let keys: Vec<Vec<u8>> = t
                 .range(Bound::Unbounded, Bound::Unbounded)
+                .entries()
                 .unwrap()
+                .into_iter()
                 .map(|(k, _)| k)
                 .collect();
             assert_eq!(keys.len(), 2000);

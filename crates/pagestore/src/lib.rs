@@ -7,6 +7,8 @@
 //!
 //! Architecture, bottom-up:
 //!
+//! * [`checksum`] — FNV-1a64, the one checksum of WAL records, column
+//!   segments and wire frames.
 //! * [`storage`] — a byte-addressed backing device: a real file
 //!   ([`storage::FileStorage`]) or memory ([`storage::MemStorage`]).
 //! * [`stats`] — cumulative I/O instrumentation (block counts and wall
@@ -35,15 +37,21 @@
 //! use xmorph_pagestore::Store;
 //!
 //! let store = Store::in_memory();
-//! let tree = store.open_tree("nodes").unwrap();
+//! let tree = store.open_tree("labels").unwrap();
 //! tree.insert(b"1.1", b"book").unwrap();
 //! tree.insert(b"1.2", b"book").unwrap();
 //! assert_eq!(tree.get(b"1.1").unwrap().as_deref(), Some(&b"book"[..]));
-//! assert_eq!(tree.range(..).count(), 2);
+//! let mut scan = tree.range(..);
+//! let mut n = 0;
+//! while scan.next_entry().unwrap().is_some() {
+//!     n += 1;
+//! }
+//! assert_eq!(n, 2);
 //! ```
 
 pub mod btree;
 pub mod buffer;
+pub mod checksum;
 pub mod error;
 pub mod fault;
 pub mod mmap;

@@ -776,9 +776,10 @@ impl Tree {
         BTree::open(&self.pool, root).get(key)
     }
 
-    /// True if the key is present.
+    /// True if the key is present; the value is never read.
     pub fn contains(&self, key: &[u8]) -> StoreResult<bool> {
-        Ok(self.get(key)?.is_some())
+        let root = *self.root.lock();
+        BTree::open(&self.pool, root).contains(key)
     }
 
     /// Remove a key; returns `true` if it was present.
@@ -789,23 +790,15 @@ impl Tree {
 
     /// Ordered scan over a key range. Accepts the usual range syntax:
     /// `tree.range(..)`, `tree.range(a..b)`, `tree.range(a..=b)` with
-    /// `Vec<u8>` endpoints.
+    /// `Vec<u8>` endpoints. Step it with [`RangeIter::next_entry`] or
+    /// [`RangeIter::next_key`]; a read fault, the descent's included, is
+    /// the error of the step that met it.
     pub fn range<R: RangeBounds<Vec<u8>>>(&self, bounds: R) -> RangeIter<'_> {
         let root = *self.root.lock();
-        let start_owned: Bound<Vec<u8>> = clone_bound(bounds.start_bound());
-        let end: Bound<Vec<u8>> = clone_bound(bounds.end_bound());
-        let start_ref: Bound<&[u8]> = match &start_owned {
-            Bound::Included(v) => Bound::Included(v.as_slice()),
-            Bound::Excluded(v) => Bound::Excluded(v.as_slice()),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        match BTree::open(&self.pool, root).range(start_ref, end) {
-            Ok(it) => it,
-            // Setup failure (an I/O error or torn page on the descent)
-            // must not panic a read path; the error surfaces through
-            // `next_entry`/`error()` on the returned iterator.
-            Err(e) => RangeIter::failed(&self.pool, e),
-        }
+        BTree::open(&self.pool, root).range(
+            clone_bound(bounds.start_bound()),
+            clone_bound(bounds.end_bound()),
+        )
     }
 
     /// Scan all keys beginning with `prefix`, in order.
@@ -815,10 +808,7 @@ impl Tree {
             Some(e) => Bound::Excluded(e),
             None => Bound::Unbounded,
         };
-        match BTree::open(&self.pool, root).range(Bound::Included(prefix), end) {
-            Ok(it) => it,
-            Err(e) => RangeIter::failed(&self.pool, e),
-        }
+        BTree::open(&self.pool, root).range(Bound::Included(prefix.to_vec()), end)
     }
 
     /// The greatest key strictly below `upper`, or `None` when every key
@@ -836,6 +826,15 @@ impl Tree {
         let upper = prefix_successor(prefix);
         let last = BTree::open(&self.pool, root).last_key_below(upper.as_deref())?;
         Ok(last.filter(|k| k.starts_with(prefix)))
+    }
+
+    /// Remove every key beginning with `prefix` and return the removed
+    /// keys in order: each leaf in range is written once (see
+    /// [`BTree::delete_range`]).
+    pub fn delete_prefix(&self, prefix: &[u8]) -> StoreResult<Vec<Vec<u8>>> {
+        let root = *self.root.lock();
+        let end = prefix_successor(prefix);
+        BTree::open(&self.pool, root).delete_range(prefix, end.as_deref())
     }
 
     /// Number of keys beginning with `prefix`, counted per leaf by
@@ -945,11 +944,14 @@ mod tests {
         }
         let got: Vec<String> = t
             .scan_prefix(b"a/")
+            .entries()
+            .unwrap()
+            .into_iter()
             .map(|(k, _)| String::from_utf8(k).unwrap())
             .collect();
         assert_eq!(got, vec!["a/1", "a/2", "a/3"]);
         // Empty prefix scans everything.
-        assert_eq!(t.scan_prefix(b"").count(), 6);
+        assert_eq!(t.scan_prefix(b"").entries().unwrap().len(), 6);
     }
 
     #[test]
@@ -959,9 +961,9 @@ mod tests {
         for i in 0..10u8 {
             t.insert(&[i], &[i]).unwrap();
         }
-        assert_eq!(t.range(..).count(), 10);
-        assert_eq!(t.range(vec![3]..vec![7]).count(), 4);
-        assert_eq!(t.range(vec![3]..=vec![7]).count(), 5);
+        assert_eq!(t.range(..).entries().unwrap().len(), 10);
+        assert_eq!(t.range(vec![3]..vec![7]).entries().unwrap().len(), 4);
+        assert_eq!(t.range(vec![3]..=vec![7]).entries().unwrap().len(), 5);
     }
 
     #[test]

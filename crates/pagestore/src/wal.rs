@@ -41,6 +41,7 @@
 //! the previous run fail the epoch/LSN continuity check and read as
 //! tail debris.
 
+use crate::checksum::{fnv1a64, fnv1a64_parts};
 use crate::error::{StoreError, StoreResult};
 use crate::pager::PageId;
 use crate::storage::Storage;
@@ -69,18 +70,6 @@ pub const KIND_COMMIT: u8 = 2;
 
 /// Upper sanity bound on the record-region size (4 GiB).
 const MAX_RECORD_PAGES: u64 = 1 << 20;
-
-/// FNV-1a-64 over a sequence of byte slices.
-fn fnv1a(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Geometry of the WAL extent within the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +100,7 @@ pub fn encode_header_page(record_pages: u64) -> Vec<u8> {
     let mut page = vec![0u8; PAGE_SIZE];
     page[0..8].copy_from_slice(WAL_HEADER_MAGIC);
     page[8..16].copy_from_slice(&record_pages.to_le_bytes());
-    let sum = fnv1a(&[&page[0..16]]);
+    let sum = fnv1a64(&page[0..16]);
     page[16..24].copy_from_slice(&sum.to_le_bytes());
     page
 }
@@ -124,7 +113,7 @@ pub fn decode_header_page(page: &[u8]) -> Option<u64> {
         return None;
     }
     let sum = u64::from_le_bytes(page[16..24].try_into().unwrap());
-    if fnv1a(&[&page[0..16]]) != sum {
+    if fnv1a64(&page[0..16]) != sum {
         return None;
     }
     let record_pages = u64::from_le_bytes(page[8..16].try_into().unwrap());
@@ -142,7 +131,7 @@ fn push_record(out: &mut Vec<u8>, lsn: u64, epoch: u64, page_id: PageId, kind: u
     hdr[24..32].copy_from_slice(&page_id.to_le_bytes());
     hdr[32..40].copy_from_slice(&(payload.len() as u64).to_le_bytes());
     hdr[40] = kind;
-    let sum = fnv1a(&[&hdr[0..56], payload]);
+    let sum = fnv1a64_parts(&[&hdr[0..56], payload]);
     hdr[56..64].copy_from_slice(&sum.to_le_bytes());
     out.extend_from_slice(&hdr);
     out.extend_from_slice(payload);
@@ -228,7 +217,7 @@ pub fn replay(storage: &mut dyn Storage, layout: &WalLayout) -> StoreResult<Repl
             storage.read_at(off + RECORD_HEADER_LEN as u64, &mut payload)?;
         }
         let sum = u64::from_le_bytes(hdr[56..64].try_into().unwrap());
-        if fnv1a(&[&hdr[0..56], &payload]) != sum {
+        if fnv1a64_parts(&[&hdr[0..56], &payload]) != sum {
             break;
         }
         match run {

@@ -51,12 +51,12 @@ proptest! {
         for (k, v) in &pairs {
             prop_assert_eq!(bulk.get(k).unwrap().as_deref(), Some(v.as_slice()));
         }
-        let a: Vec<_> = bulk.range(..).collect();
-        let b: Vec<_> = inc.range(..).collect();
+        let a: Vec<_> = bulk.range(..).entries().unwrap();
+        let b: Vec<_> = inc.range(..).entries().unwrap();
         prop_assert_eq!(a, b);
         for p in [&b""[..], b"\x00", b"\x01\x02"] {
-            let a: Vec<_> = bulk.scan_prefix(p).collect();
-            let b: Vec<_> = inc.scan_prefix(p).collect();
+            let a: Vec<_> = bulk.scan_prefix(p).entries().unwrap();
+            let b: Vec<_> = inc.scan_prefix(p).entries().unwrap();
             prop_assert_eq!(a, b);
         }
     }
@@ -75,7 +75,13 @@ fn bulk_load_builds_multi_level_tree() {
         t.get(&2500u32.to_be_bytes()).unwrap(),
         Some(2500u32.to_le_bytes().to_vec())
     );
-    let scanned: Vec<_> = t.range(..).map(|(k, _)| k).collect();
+    let scanned: Vec<_> = t
+        .range(..)
+        .entries()
+        .unwrap()
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect();
     assert_eq!(scanned.len(), 5000);
     assert!(scanned.windows(2).all(|w| w[0] < w[1]), "ordered scan");
 }
@@ -112,7 +118,7 @@ fn bulk_load_empty_input_yields_empty_tree() {
     t.bulk_load(OwnedPairs::new(Vec::new()), DEFAULT_FILL)
         .unwrap();
     assert_eq!(t.len().unwrap(), 0);
-    assert_eq!(t.range(..).count(), 0);
+    assert_eq!(t.range(..).entries().unwrap().len(), 0);
 }
 
 #[test]
@@ -122,7 +128,13 @@ fn next_key_visits_the_same_keys_as_entries() {
     for i in 0u32..800 {
         t.insert(&i.to_be_bytes(), &i.to_le_bytes()).unwrap();
     }
-    let keys: Vec<_> = t.range(..).map(|(k, _)| k).collect();
+    let keys: Vec<_> = t
+        .range(..)
+        .entries()
+        .unwrap()
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect();
     let mut it = t.scan_prefix(b"");
     let mut got = Vec::new();
     while let Some(k) = it.next_key().unwrap() {

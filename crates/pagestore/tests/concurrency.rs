@@ -83,7 +83,7 @@ fn writer_and_scanners_interleave() {
             let b = b.clone();
             std::thread::spawn(move || {
                 for _ in 0..10 {
-                    assert_eq!(b.range(..).count(), 1000);
+                    assert_eq!(b.range(..).entries().unwrap().len(), 1000);
                 }
             })
         })

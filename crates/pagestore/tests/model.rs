@@ -49,7 +49,7 @@ proptest! {
             }
         }
         // Final state: identical ordered contents.
-        let got: Vec<(Vec<u8>, Vec<u8>)> = tree.range(..).collect();
+        let got: Vec<(Vec<u8>, Vec<u8>)> = tree.range(..).entries().unwrap();
         let want: Vec<(Vec<u8>, Vec<u8>)> =
             model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         prop_assert_eq!(got, want);
@@ -67,7 +67,13 @@ proptest! {
             tree.insert(k, &[*v]).unwrap();
         }
         let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        let got: Vec<Vec<u8>> = tree.range(lo.clone()..hi.clone()).map(|(k, _)| k).collect();
+        let got: Vec<Vec<u8>> = tree
+            .range(lo.clone()..hi.clone())
+            .entries()
+            .unwrap()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
         let want: Vec<Vec<u8>> = entries.range(lo..hi).map(|(k, _)| k.clone()).collect();
         prop_assert_eq!(got, want);
     }

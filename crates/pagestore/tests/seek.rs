@@ -1,7 +1,8 @@
-//! Property tests for the two seek primitives the document write path
+//! Property tests for the seek primitives the document write path
 //! relies on, [`Tree::last_key_below`] and [`Tree::count_prefix`]
-//! (plus [`Tree::last_key_with_prefix`] built on the first), against a
-//! `BTreeMap` oracle.
+//! (plus [`Tree::last_key_with_prefix`] built on the first), and for
+//! its range delete, [`Tree::delete_prefix`], against a `BTreeMap`
+//! oracle.
 //!
 //! Keys are Dewey-shaped — 4-byte big-endian components at mixed depths
 //! over a small alphabet, so prefixes nest and collide the way document
@@ -22,7 +23,8 @@ fn dewey(components: &[u32]) -> Vec<u8> {
 enum Op {
     Insert(Vec<u8>, usize),
     Delete(Vec<u8>),
-    /// Remove every key under a prefix: the stream's leaf-emptier.
+    /// Remove every key under a prefix with one `delete_prefix`: the
+    /// stream's leaf-emptier.
     DeletePrefix(Vec<u8>),
 }
 
@@ -64,8 +66,8 @@ fn apply(tree: &Tree, model: &mut BTreeMap<Vec<u8>, Vec<u8>>, ops: Vec<Op>) {
                     .map(|(k, _)| k.clone())
                     .take_while(|k| k.starts_with(&p))
                     .collect();
+                assert_eq!(tree.delete_prefix(&p).unwrap(), doomed);
                 for k in doomed {
-                    assert!(tree.delete(&k).unwrap());
                     model.remove(&k);
                 }
             }

@@ -40,6 +40,10 @@
 //! frame's actual byte length.
 
 use std::io::{IoSlice, Read, Write};
+/// 64-bit FNV-1a, the frame checksum — the one the WAL records and
+/// column segments use too.
+pub use xmorph_pagestore::checksum::fnv1a64;
+use xmorph_pagestore::checksum::{fnv1a64_extend, fnv1a64_parts};
 
 /// Magic bytes opening every frame.
 pub const FRAME_MAGIC: &[u8; 8] = b"XMFRAME1";
@@ -225,21 +229,6 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
-/// 64-bit FNV-1a — the same checksum the `colseg` and WAL headers use.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continue an FNV-1a64 `hash` over `bytes`, so a payload held in
-/// several parts hashes as their concatenation.
-fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// One decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -252,9 +241,7 @@ pub struct Frame {
 /// The header of a frame whose payload is the concatenation of `parts`.
 fn frame_header(opcode: OpCode, parts: &[&[u8]]) -> [u8; HEADER_LEN] {
     let len: usize = parts.iter().map(|p| p.len()).sum();
-    let sum = parts
-        .iter()
-        .fold(fnv1a64(&[]), |hash, part| fnv1a64_extend(hash, part));
+    let sum = fnv1a64_parts(parts);
     let mut header = [0u8; HEADER_LEN];
     header[0..8].copy_from_slice(FRAME_MAGIC);
     header[8..12].copy_from_slice(&PROTO_VERSION.to_le_bytes());

@@ -240,6 +240,32 @@ impl<S: ByteSource> Core<S> {
         Some(b)
     }
 
+    /// Advance past every byte `keep` accepts, a buffered window at a
+    /// time rather than a byte per call, keeping line and column as
+    /// [`Core::bump`] would; stops at the first byte `keep` rejects or
+    /// at end of input.
+    fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
+        while self.have(1) {
+            let window = &self.buf[self.pos - self.base..];
+            let n = window
+                .iter()
+                .position(|&b| !keep(b))
+                .unwrap_or(window.len());
+            let skipped = &window[..n];
+            match skipped.iter().rposition(|&b| b == b'\n') {
+                Some(last) => {
+                    self.line += skipped.iter().filter(|&&b| b == b'\n').count() as u32;
+                    self.col = (n - last) as u32;
+                }
+                None => self.col += n as u32,
+            }
+            self.pos += n;
+            if n < window.len() {
+                return;
+            }
+        }
+    }
+
     fn advance(&mut self, n: usize) {
         for _ in 0..n {
             self.bump();
@@ -256,9 +282,7 @@ impl<S: ByteSource> Core<S> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
-        }
+        self.skip_while(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'));
     }
 
     /// Find `needle` at or after the cursor, refilling the window as
@@ -315,9 +339,7 @@ impl<S: ByteSource> Core<S> {
             }
             None => return Err(self.err(ErrorKind::UnexpectedEof("name"))),
         }
-        while matches!(self.peek(), Some(b) if Self::is_name_char(b)) {
-            self.bump();
-        }
+        self.skip_while(Self::is_name_char);
         Ok(self.str_range(start, self.pos)?.to_string())
     }
 
@@ -400,9 +422,7 @@ impl<S: ByteSource> Core<S> {
 
     fn read_text(&mut self) -> XmlResult<XmlEvent> {
         let start = self.pos;
-        while self.peek().is_some() && self.peek() != Some(b'<') {
-            self.bump();
-        }
+        self.skip_while(|b| b != b'<');
         let raw = self.str_range(start, self.pos)?;
         if self.stack.is_empty() {
             // Only whitespace is allowed outside the document element.
@@ -476,14 +496,12 @@ impl<S: ByteSource> Core<S> {
                         None => return Err(self.err(ErrorKind::UnexpectedEof("attribute"))),
                     };
                     let vstart = self.pos;
-                    while self.peek().is_some() && self.peek() != Some(quote) {
-                        if self.peek() == Some(b'<') {
-                            return Err(self.err(ErrorKind::UnexpectedChar {
-                                expected: "attribute value character",
-                                found: '<',
-                            }));
-                        }
-                        self.bump();
+                    self.skip_while(|b| b != quote && b != b'<');
+                    if self.peek() == Some(b'<') {
+                        return Err(self.err(ErrorKind::UnexpectedChar {
+                            expected: "attribute value character",
+                            found: '<',
+                        }));
                     }
                     if self.peek().is_none() {
                         return Err(self.err(ErrorKind::UnexpectedEof("attribute value")));
@@ -879,7 +897,17 @@ mod tests {
         r.next_event().unwrap(); // text
         r.next_event().unwrap(); // <b>
         let e = r.next_event().unwrap_err();
-        assert_eq!(e.line, 2);
+        assert_eq!((e.line, e.column), (2, 10));
+        // Newlines inside attribute values, between attributes and in
+        // text all move the position.
+        let mut r = XmlReader::new("<a x='1\n2'  \n y=\"3\">\n\n t<b/>\n <c  z='\n'>\n</d></a>");
+        let e = loop {
+            match r.next_event() {
+                Ok(ev) => assert_ne!(ev, XmlEvent::Eof),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!((e.line, e.column), (8, 5));
     }
 
     #[test]

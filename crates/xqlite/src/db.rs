@@ -74,7 +74,8 @@ impl XqliteDb {
         prefix.push(0);
         let mut out: Vec<u8> = Vec::new();
         let mut found = false;
-        for (_, chunk) in tree.scan_prefix(&prefix) {
+        let mut chunks = tree.scan_prefix(&prefix);
+        while let Some((_, chunk)) = chunks.next_entry()? {
             found = true;
             out.extend_from_slice(&chunk);
         }
@@ -93,7 +94,8 @@ impl XqliteDb {
     pub fn document_names(&self) -> StoreResult<Vec<String>> {
         let tree = self.store.open_tree("documents")?;
         let mut names = Vec::new();
-        for (key, _) in tree.range(..) {
+        let mut keys = tree.range(..);
+        while let Some(key) = keys.next_key()? {
             if let Some(pos) = key.iter().position(|&b| b == 0) {
                 let name = String::from_utf8_lossy(&key[..pos]).to_string();
                 if names.last() != Some(&name) {
@@ -174,6 +176,57 @@ mod tests {
         db.store_document("a.xml", "<a/>").unwrap();
         db.store_document("b.xml", "<b/>").unwrap();
         assert_eq!(db.document_names().unwrap(), vec!["a.xml", "b.xml"]);
+    }
+
+    #[test]
+    fn a_read_fault_never_loads_a_short_document() {
+        use xmorph_pagestore::{FaultScript, FaultStorage};
+        // A pool far smaller than the document's chunk leaves, so the
+        // load reads most of them from the device.
+        let open = |image: Vec<u8>, script: FaultScript| {
+            let (storage, handle) = FaultStorage::with_image(image, script);
+            let store = Store::options()
+                .capacity(4)
+                .shards(1)
+                .with_storage(Box::new(storage))
+                .unwrap();
+            (XqliteDb::new(store), handle)
+        };
+        let xml = format!("<r>{}</r>", "<item>chunked value</item>".repeat(2000));
+        let image = {
+            let (storage, handle) = FaultStorage::new(FaultScript::none());
+            let store = Store::options()
+                .capacity(4)
+                .shards(1)
+                .with_storage(Box::new(storage))
+                .unwrap();
+            XqliteDb::new(store.clone())
+                .store_document("d", &xml)
+                .unwrap();
+            store.close().unwrap();
+            handle.image()
+        };
+        let (db, handle) = open(image.clone(), FaultScript::none());
+        let first = handle.reads();
+        assert_eq!(
+            db.load_document("d").unwrap().as_deref(),
+            Some(xml.as_str())
+        );
+        let last = handle.reads();
+        assert!(
+            last - first > 10,
+            "the load read only {} pages",
+            last - first
+        );
+        let mut errors = 0;
+        for k in first..last {
+            let (db, _) = open(image.clone(), FaultScript::none().fail_read(k));
+            match db.load_document("d") {
+                Ok(doc) => assert_eq!(doc.as_deref(), Some(xml.as_str()), "read {k}"),
+                Err(_) => errors += 1,
+            }
+        }
+        assert!(errors > 0, "no injected read reached the load");
     }
 
     #[test]
