@@ -16,6 +16,14 @@ pub enum MorphError {
         /// Byte offset into the guard text.
         offset: usize,
     },
+    /// The guard nests deeper than the parser admits
+    /// ([`crate::lang::parser::MAX_NESTING`]).
+    TooDeep {
+        /// The nesting limit.
+        limit: usize,
+        /// Byte offset into the guard text where the limit was passed.
+        offset: usize,
+    },
     /// A label in the guard matched no type in the source shape and
     /// `TYPE-FILL` was not in effect — the paper's *type mismatch*.
     TypeMismatch {
@@ -58,6 +66,9 @@ impl fmt::Display for MorphError {
         match self {
             MorphError::Parse { message, offset } => {
                 write!(f, "guard syntax error at byte {offset}: {message}")
+            }
+            MorphError::TooDeep { limit, offset } => {
+                write!(f, "guard nests deeper than {limit} levels at byte {offset}")
             }
             MorphError::TypeMismatch { label } => {
                 write!(

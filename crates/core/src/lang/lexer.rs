@@ -4,6 +4,7 @@
 //! recognized by case-insensitive comparison, everything else is a label.
 
 use crate::error::{MorphError, MorphResult};
+use crate::lang::parser::MAX_NESTING;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,13 +98,27 @@ fn keyword(word: &str) -> Option<Tok> {
     }
 }
 
-/// Tokenize a guard program.
+/// Tokenize a guard program. Brackets and parentheses open past
+/// [`MAX_NESTING`] fail here, before the rest of the text is read: each
+/// one opens a parser nesting level, so the parser would refuse them.
 pub fn lex(src: &str) -> MorphResult<Vec<Token>> {
     let mut out = Vec::new();
     let chars: Vec<(usize, char)> = src.char_indices().collect();
     let mut i = 0usize;
+    let mut open = 0usize;
     while i < chars.len() {
         let (offset, c) = chars[i];
+        match c {
+            '[' | '(' if open == MAX_NESTING => {
+                return Err(MorphError::TooDeep {
+                    limit: MAX_NESTING,
+                    offset,
+                });
+            }
+            '[' | '(' => open += 1,
+            ']' | ')' => open = open.saturating_sub(1),
+            _ => {}
+        }
         match c {
             c if c.is_whitespace() => {
                 i += 1;

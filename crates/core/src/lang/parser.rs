@@ -23,6 +23,12 @@ use crate::error::{MorphError, MorphResult};
 use crate::lang::ast::{Ast, CastMode, Head, Item, Pattern};
 use crate::lang::lexer::{lex, Tok, Token};
 
+/// How deep a guard may nest: brackets, parentheses, prefix keywords,
+/// casts and pipes all count. The parser, and every pass over the AST,
+/// recurses once per level, so a bound here keeps a hostile guard from
+/// overflowing a thread's stack (2 MiB on a server connection).
+pub const MAX_NESTING: usize = 256;
+
 /// Parse a guard program.
 pub fn parse(src: &str) -> MorphResult<Ast> {
     let tokens = lex(src)?;
@@ -30,6 +36,7 @@ pub fn parse(src: &str) -> MorphResult<Ast> {
         tokens,
         pos: 0,
         src_len: src.len(),
+        depth: 0,
     };
     let ast = p.guard()?;
     if p.pos < p.tokens.len() {
@@ -42,6 +49,8 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     src_len: usize,
+    /// Nesting levels open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -80,6 +89,21 @@ impl Parser {
         }
     }
 
+    /// Run `f` one nesting level deeper, or fail once past
+    /// [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> MorphResult<T>) -> MorphResult<T> {
+        if self.depth == MAX_NESTING {
+            return Err(MorphError::TooDeep {
+                limit: MAX_NESTING,
+                offset: self.offset(),
+            });
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn expect(&mut self, tok: Tok, what: &str) -> MorphResult<()> {
         if self.eat(&tok) {
             Ok(())
@@ -100,6 +124,10 @@ impl Parser {
 
     // guard := cast* composed
     fn guard(&mut self) -> MorphResult<Ast> {
+        self.nested(Self::guard_level)
+    }
+
+    fn guard_level(&mut self) -> MorphResult<Ast> {
         match self.peek() {
             Some(Tok::Cast) => {
                 self.bump();
@@ -140,6 +168,10 @@ impl Parser {
     // The first operand of `COMPOSE g1, g2` — like `guard` but cannot
     // itself consume the comma.
     fn guard_until_comma(&mut self) -> MorphResult<Ast> {
+        self.nested(Self::guard_until_comma_level)
+    }
+
+    fn guard_until_comma_level(&mut self) -> MorphResult<Ast> {
         // Cast prefixes then a single core; pipes still compose tighter
         // than the COMPOSE comma.
         match self.peek() {
@@ -266,6 +298,10 @@ impl Parser {
 
     // item := '!'? head ('[' inner ']')?
     fn item(&mut self) -> MorphResult<Item> {
+        self.nested(Self::item_level)
+    }
+
+    fn item_level(&mut self) -> MorphResult<Item> {
         let pinned = self.eat(&Tok::Bang);
         let mut item = self.head()?;
         item.pinned = item.pinned || pinned;
@@ -603,5 +639,41 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    fn nested_guard(levels: usize) -> String {
+        format!("MORPH {}b{}", "a [ ".repeat(levels), " ]".repeat(levels))
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        // `n` brackets nest `n + 1` items in the guard: `n + 2` levels.
+        assert!(parse(&nested_guard(MAX_NESTING - 2)).is_ok());
+        let err = parse(&nested_guard(MAX_NESTING - 1)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MorphError::TooDeep {
+                    limit: MAX_NESTING,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_guard_nested_100k_deep_fails_fast() {
+        let guard = nested_guard(100_000);
+        let start = std::time::Instant::now();
+        let err = parse(&guard).unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(matches!(err, MorphError::TooDeep { .. }), "{err}");
+        assert!(elapsed.as_millis() < 100, "took {elapsed:?}");
+        // Prefix keywords and parentheses nest too.
+        let keywords = format!("MORPH {}a", "CHILDREN ( ".repeat(100_000));
+        assert!(matches!(parse(&keywords), Err(MorphError::TooDeep { .. })));
+        let casts = format!("{}MORPH a", "CAST ".repeat(100_000));
+        assert!(matches!(parse(&casts), Err(MorphError::TooDeep { .. })));
     }
 }

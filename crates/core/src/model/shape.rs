@@ -16,9 +16,6 @@ pub struct AdornedShape {
     /// Cardinality of the edge from `parent(t)` into `t` (indexed by
     /// `TypeId`). Root types carry `1..1`.
     edge_card: Vec<Card>,
-    /// Children of each type, in first-encounter order.
-    children: Vec<Vec<TypeId>>,
-    roots: Vec<TypeId>,
     /// Instance count of each type in the collection.
     counts: Vec<u64>,
     /// Types whose card or count moved, or that were interned, since
@@ -37,16 +34,11 @@ pub struct AdornedShape {
 impl AdornedShape {
     /// Build the shape of a parsed document.
     pub fn from_document(doc: &Document) -> AdornedShape {
-        let mut b = ShapeBuilder::new();
+        let mut b = ShapeBuilder::default();
         if let Some(root) = doc.root_element() {
             build_rec(doc, root, &mut b);
         }
         b.finish()
-    }
-
-    /// Start an event-driven builder (used by the shredder).
-    pub fn builder() -> ShapeBuilder {
-        ShapeBuilder::new()
     }
 
     /// The interned type table.
@@ -57,16 +49,6 @@ impl AdornedShape {
     /// Cardinality of the edge from `t`'s parent into `t`.
     pub fn card(&self, t: TypeId) -> Card {
         self.edge_card[t.index()]
-    }
-
-    /// Child types of `t`.
-    pub fn children(&self, t: TypeId) -> &[TypeId] {
-        &self.children[t.index()]
-    }
-
-    /// Root types (no incoming edge) — the paper's `roots(S)`.
-    pub fn roots(&self) -> &[TypeId] {
-        &self.roots
     }
 
     /// All types — the paper's `types(S)`.
@@ -102,12 +84,10 @@ impl AdornedShape {
     /// the card as it counts the inserted instances, and `min` stays 0
     /// because every pre-existing parent instance lacks the new child.
     pub fn intern_child_type(&mut self, parent: TypeId, name: &str) -> TypeId {
-        let id = self.types.intern_child(parent, name);
+        let id = self.types.intern_child(Some(parent), name);
         if id.index() == self.edge_card.len() {
             self.edge_card.push(Card::zero());
-            self.children.push(Vec::new());
             self.counts.push(0);
-            self.children[parent.index()].push(id);
             self.dirty.insert(id);
             self.edits += 1;
         }
@@ -188,16 +168,13 @@ impl AdornedShape {
     /// cardinalities going down to `s`. Returns `None` when the two types
     /// share no root.
     pub fn path_card(&self, t: TypeId, s: TypeId) -> Option<Card> {
-        let lcp = self.types.common_prefix_len(t, s);
-        if lcp == 0 {
-            return None;
-        }
+        let lca = self.types.lca(t, s)?;
         // Walk from `s` up to the LCA, multiplying edge cards.
         let mut card = Card::one();
         let mut cur = s;
-        while self.types.dewey_len(cur) > lcp {
+        while cur != lca {
             card = card.mul(self.card(cur));
-            cur = self.types.parent(cur).expect("above-LCA type has a parent");
+            cur = self.types.parent(cur).expect("below-LCA type has a parent");
         }
         Some(card)
     }
@@ -219,16 +196,15 @@ impl AdornedShape {
     pub fn from_bytes(bytes: &[u8]) -> Option<AdornedShape> {
         let tlen = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
         let types = TypeTable::from_bytes(bytes.get(4..4 + tlen)?)?;
-        let mut off = 4 + tlen;
+        // One row per type, a card (17 B) then a count, and nothing after.
+        let rows = bytes
+            .get(4 + tlen..)
+            .filter(|r| r.len() == 25 * types.len())?;
         let mut edge_card = Vec::with_capacity(types.len());
         let mut counts = Vec::with_capacity(types.len());
-        for _ in 0..types.len() {
-            edge_card.push(Card::from_bytes(bytes.get(off..off + 17)?)?);
-            off += 17;
-            counts.push(u64::from_le_bytes(
-                bytes.get(off..off + 8)?.try_into().ok()?,
-            ));
-            off += 8;
+        for row in rows.chunks_exact(25) {
+            edge_card.push(Card::from_bytes(&row[..17])?);
+            counts.push(u64::from_le_bytes(row[17..].try_into().ok()?));
         }
         Some(Self::assemble(types, edge_card, counts))
     }
@@ -276,19 +252,9 @@ impl AdornedShape {
     }
 
     fn assemble(types: TypeTable, edge_card: Vec<Card>, counts: Vec<u64>) -> AdornedShape {
-        let mut children: Vec<Vec<TypeId>> = vec![Vec::new(); types.len()];
-        let mut roots = Vec::new();
-        for id in types.ids() {
-            match types.parent(id) {
-                Some(p) => children[p.index()].push(id),
-                None => roots.push(id),
-            }
-        }
         AdornedShape {
             types,
             edge_card,
-            children,
-            roots,
             counts,
             dirty: BTreeSet::new(),
             edits: 0,
@@ -306,27 +272,17 @@ impl fmt::Display for AdornedShape {
     ///     title 1..1
     /// ```
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn rec(
-            shape: &AdornedShape,
-            t: TypeId,
-            depth: usize,
-            f: &mut fmt::Formatter<'_>,
-        ) -> fmt::Result {
-            for _ in 0..depth {
-                write!(f, "  ")?;
+        // Depth first, each type's children pushed in reverse.
+        let mut stack: Vec<TypeId> = self.types.roots().iter().rev().copied().collect();
+        while let Some(t) = stack.pop() {
+            let (name, indent) = (self.types.name(t), 2 * self.types.depth(t));
+            match self.types.parent(t) {
+                None => writeln!(f, "{name}")?,
+                Some(_) => writeln!(f, "{:indent$}{name} {}", "", self.card(t))?,
             }
-            if depth == 0 {
-                writeln!(f, "{}", shape.types.name(t))?;
-            } else {
-                writeln!(f, "{} {}", shape.types.name(t), shape.card(t))?;
-            }
-            for &c in shape.children(t) {
-                rec(shape, c, depth + 1, f)?;
-            }
-            Ok(())
-        }
-        for &r in &self.roots {
-            rec(self, r, 0, f)?;
+            let at = stack.len();
+            stack.extend(self.types.children(t));
+            stack[at..].reverse();
         }
         Ok(())
     }
@@ -361,6 +317,7 @@ struct EdgeStat {
 /// Event-driven shape builder: `open`/`attribute`/`close` mirror a SAX
 /// stream. The same builder serves DOM construction and the streaming
 /// shredder.
+#[derive(Default)]
 pub struct ShapeBuilder {
     types: TypeTable,
     stack: Vec<Frame>,
@@ -376,44 +333,12 @@ pub struct ShapeBuilder {
     /// Per type id: edge statistics and instance count.
     edges: Vec<EdgeStat>,
     counts: Vec<u64>,
-    roots: Vec<TypeId>,
-}
-
-impl Default for ShapeBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ShapeBuilder {
-    /// Fresh builder.
-    pub fn new() -> ShapeBuilder {
-        ShapeBuilder {
-            types: TypeTable::new(),
-            stack: Vec::new(),
-            child_counts: Vec::new(),
-            count_slot: Vec::new(),
-            edges: Vec::new(),
-            counts: Vec::new(),
-            roots: Vec::new(),
-        }
-    }
-
     /// Enter an element named `name`; returns its type.
     pub fn open(&mut self, name: &str) -> TypeId {
-        let type_id = match self.stack.last() {
-            Some(frame) => {
-                let parent = frame.type_id;
-                self.types.intern_child(parent, name)
-            }
-            None => {
-                let id = self.types.intern(&[name.to_string()]);
-                if !self.roots.contains(&id) {
-                    self.roots.push(id);
-                }
-                id
-            }
-        };
+        let type_id = self.types.intern_child(self.current_type(), name);
         let i = type_id.index();
         if i >= self.counts.len() {
             self.count_slot.resize(i + 1, usize::MAX);
@@ -470,31 +395,25 @@ impl ShapeBuilder {
         self.stack.last().map(|f| f.type_id)
     }
 
-    /// The (partially built) type table.
-    pub fn types(&self) -> &TypeTable {
-        &self.types
-    }
-
     /// Finalize into an [`AdornedShape`]. Panics if elements remain open.
     pub fn finish(self) -> AdornedShape {
         assert!(self.stack.is_empty(), "finish() with open elements");
-        let n = self.types.len();
-        let mut edge_card = vec![Card::one(); n];
-        let mut counts = vec![0u64; n];
-        for id in self.types.ids() {
-            counts[id.index()] = self.counts.get(id.index()).copied().unwrap_or(0);
-            if let Some(parent) = self.types.parent(id) {
-                let stat = self.edges.get(id.index()).copied().unwrap_or_default();
-                let parent_instances = self.counts.get(parent.index()).copied().unwrap_or(0);
-                let min = if stat.parents_with < parent_instances {
+        let types = &self.types;
+        let edge_card = types.ids().map(|id| match types.parent(id) {
+            None => Card::one(),
+            Some(parent) => {
+                let stat = self.edges[id.index()];
+                // When some parent instance lacks the child, the min is 0.
+                let min = if stat.parents_with < self.counts[parent.index()] {
                     0
                 } else {
                     stat.min_nonzero
                 };
-                edge_card[id.index()] = Card::new(min, CardMax::Finite(stat.max));
+                Card::new(min, CardMax::Finite(stat.max))
             }
-        }
-        AdornedShape::assemble(self.types, edge_card, counts)
+        });
+        let edge_card = edge_card.collect();
+        AdornedShape::assemble(self.types, edge_card, self.counts)
     }
 }
 
@@ -575,13 +494,13 @@ mod tests {
     #[test]
     fn roots_and_children() {
         let shape = AdornedShape::from_document(&fig1a());
-        assert_eq!(shape.roots().len(), 1);
-        let data = shape.roots()[0];
+        assert_eq!(shape.types().roots().len(), 1);
+        let data = shape.types().roots()[0];
         assert_eq!(shape.types().name(data), "data");
         let kids: Vec<&str> = shape
+            .types()
             .children(data)
-            .iter()
-            .map(|&c| shape.types().name(c))
+            .map(|c| shape.types().name(c))
             .collect();
         assert_eq!(kids, vec!["book"]);
     }
@@ -628,7 +547,17 @@ mod tests {
             assert_eq!(back.card(id), shape.card(id));
             assert_eq!(back.instance_count(id), shape.instance_count(id));
         }
-        assert_eq!(back.roots(), shape.roots());
+        assert_eq!(back.types().roots(), shape.types().roots());
+    }
+
+    #[test]
+    fn from_bytes_rejects_trailing_and_missing_bytes() {
+        let bytes = AdornedShape::from_document(&fig1a()).to_bytes();
+        assert!(AdornedShape::from_bytes(&bytes).is_some());
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(AdornedShape::from_bytes(&longer).is_none());
+        assert!(AdornedShape::from_bytes(&bytes[..bytes.len() - 1]).is_none());
     }
 
     #[test]
@@ -651,7 +580,7 @@ mod tests {
             back.apply_type_row(t, &live.type_row(t)).unwrap();
         }
         assert_eq!(back.to_bytes(), live.to_bytes());
-        assert_eq!(back.children(book), live.children(book));
+        assert!(back.types().children(book).eq(live.types().children(book)));
         assert_eq!(back.dirty_types().count(), 0);
         live.clear_dirty();
         assert_eq!(live.dirty_types().count(), 0);
@@ -682,5 +611,59 @@ mod tests {
         // data(1) + author(1) + name(1) + book(2) + title(2) +
         // publisher(2) + publisher.name(2) = 11 vertices.
         assert_eq!(shape.total_instances(), 11);
+    }
+
+    /// FNV-1a64 of the shape blob, and of every type row in id order
+    /// (each row's sum folded into one running sum).
+    fn persisted_sums(shape: &AdornedShape) -> (u64, u64) {
+        use xmorph_pagestore::checksum::{fnv1a64, fnv1a64_extend};
+        let blob = fnv1a64(&shape.to_bytes());
+        let rows = shape.type_ids().fold(fnv1a64(b""), |acc, t| {
+            fnv1a64_extend(acc, &fnv1a64(&shape.type_row(t)).to_le_bytes())
+        });
+        (blob, rows)
+    }
+
+    /// The persisted shape bytes are a format: these sums were taken
+    /// from the `Vec<String>`-path type table this one replaced, and
+    /// must not move while the format version stays.
+    #[test]
+    fn persisted_bytes_known_answers() {
+        use xmorph_datagen::{DblpConfig, NasaConfig, XmarkConfig};
+        let docs = [
+            ("fig1a", fig1a()),
+            (
+                "xmark-0.05",
+                Document::parse_str(&XmarkConfig::with_factor(0.05).generate()).unwrap(),
+            ),
+            (
+                "dblp",
+                Document::parse_str(&DblpConfig::with_approx_bytes(200_000).generate()).unwrap(),
+            ),
+            (
+                "nasa",
+                Document::parse_str(&NasaConfig::with_approx_bytes(200_000).generate()).unwrap(),
+            ),
+        ];
+        let got: Vec<(&str, usize, u64, u64)> = docs
+            .iter()
+            .map(|(name, doc)| {
+                let shape = AdornedShape::from_document(doc);
+                let (blob, rows) = persisted_sums(&shape);
+                (*name, shape.types().len(), blob, rows)
+            })
+            .collect();
+        let want: [(&str, usize, u64, u64); 4] = [
+            ("fig1a", 7, 0xe06f_2cdf_fceb_5f1f, 0xc51b_4000_67f9_ce45),
+            (
+                "xmark-0.05",
+                519,
+                0xdd11_6206_2d85_219a,
+                0x6d27_4e8e_c68c_087e,
+            ),
+            ("dblp", 55, 0xe571_489f_c08c_2302, 0x3c65_4c8a_81ba_1e79),
+            ("nasa", 47, 0x24e3_0538_df2c_37bf, 0x4747_4c8f_4b59_14ec),
+        ];
+        assert_eq!(got, want, "{got:#x?}");
     }
 }

@@ -8,9 +8,13 @@
 //!    type of its path minus the last name.
 //! 2. Every instance of a type sits at the same depth, so the closest
 //!    join can locate least common ancestors at a known Dewey level (§VII).
+//!
+//! The table stores that tree once: one fixed-size record per type, its
+//! own name a slice of one arena. A path is a walk up the parents.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Interned identifier of a type (an index into a [`TypeTable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,25 +33,42 @@ impl fmt::Display for TypeId {
     }
 }
 
-#[derive(Debug, Clone)]
-struct TypeInfo {
-    /// Element names from the root, e.g. `["data", "book", "author"]`.
-    path: Vec<String>,
-    parent: Option<TypeId>,
+/// No type: a root's parent, an end of a child list, an empty slot.
+const NONE: u32 = u32::MAX;
+
+fn link(id: u32) -> Option<TypeId> {
+    (id != NONE).then_some(TypeId(id))
 }
+
+/// One node of the data guide. Children are linked in interning order.
+#[derive(Debug, Clone, Copy)]
+struct TypeRecord {
+    parent: u32,
+    /// Byte range of the name in the table's arena.
+    name: (u32, u32),
+    depth: u32,
+    first_child: u32,
+    last_child: u32,
+    next_sibling: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<TypeRecord>() == 28);
 
 /// Interning table of root-path types for one data collection.
 #[derive(Debug, Clone, Default)]
 pub struct TypeTable {
-    infos: Vec<TypeInfo>,
-    by_path: HashMap<Vec<String>, TypeId>,
-    /// Children of each type keyed by their last path name, indexed by
-    /// the parent's `TypeId`. The shredder interns one type per element
-    /// via [`TypeTable::intern_child`]; this index answers the hot
-    /// already-interned case without cloning or hashing the full path.
-    child_names: Vec<HashMap<String, TypeId>>,
-    /// Root types (single-name paths) by name.
-    root_names: HashMap<String, TypeId>,
+    records: Vec<TypeRecord>,
+    /// Every type's element name, back to back.
+    names: String,
+    /// Root types (single-name paths), in interning order.
+    roots: Vec<TypeId>,
+    /// The child index: type ids in open addressing by `(parent, name)`,
+    /// read through the records, so a hit hashes the name once and
+    /// allocates nothing. A power of two long, at most half full.
+    slots: Vec<u32>,
+    /// Names come from documents, so the index hashes with random keys:
+    /// no input can pick names that all collide.
+    hasher: RandomState,
 }
 
 impl TypeTable {
@@ -58,102 +79,141 @@ impl TypeTable {
 
     /// Number of distinct types.
     pub fn len(&self) -> usize {
-        self.infos.len()
+        self.records.len()
     }
 
     /// True if no types are interned.
     pub fn is_empty(&self) -> bool {
-        self.infos.is_empty()
+        self.records.is_empty()
     }
 
     /// Intern the type for `path`, interning all ancestor paths too.
     pub fn intern(&mut self, path: &[String]) -> TypeId {
-        assert!(!path.is_empty(), "type path cannot be empty");
-        if let Some(&id) = self.by_path.get(path) {
-            return id;
-        }
-        let parent = if path.len() > 1 {
-            Some(self.intern(&path[..path.len() - 1]))
-        } else {
-            None
-        };
-        let id = TypeId(self.infos.len() as u32);
-        self.infos.push(TypeInfo {
-            path: path.to_vec(),
-            parent,
-        });
-        self.by_path.insert(path.to_vec(), id);
-        self.child_names.push(HashMap::new());
-        let name = path.last().expect("non-empty path").clone();
-        match parent {
-            Some(p) => {
-                self.child_names[p.index()].insert(name, id);
-            }
-            None => {
-                self.root_names.insert(name, id);
-            }
-        }
-        id
+        let t = path
+            .iter()
+            .fold(None, |t, name| Some(self.intern_child(t, name)));
+        t.expect("type path cannot be empty")
     }
 
-    /// Intern a child type: the parent's path extended by `name`.
-    pub fn intern_child(&mut self, parent: TypeId, name: &str) -> TypeId {
-        if let Some(&id) = self.child_names[parent.index()].get(name) {
+    /// Intern a child type: the parent's path extended by `name`, or
+    /// the root type `name` when `parent` is `None`.
+    pub fn intern_child(&mut self, parent: Option<TypeId>, name: &str) -> TypeId {
+        let parent = parent.map_or(NONE, |p| p.0);
+        if 2 * (self.records.len() + 1) > self.slots.len() {
+            self.slots = vec![NONE; (2 * self.slots.len()).max(16)];
+            for t in self.ids() {
+                let slot = self.slot(self.records[t.index()].parent, self.name(t));
+                self.slots[slot] = t.0;
+            }
+        }
+        let slot = self.slot(parent, name);
+        if let Some(id) = link(self.slots[slot]) {
             return id;
         }
-        let mut path = self.infos[parent.index()].path.clone();
-        path.push(name.to_string());
-        let id = TypeId(self.infos.len() as u32);
-        self.infos.push(TypeInfo {
-            path: path.clone(),
-            parent: Some(parent),
-        });
-        self.by_path.insert(path, id);
-        self.child_names.push(HashMap::new());
-        self.child_names[parent.index()].insert(name.to_string(), id);
-        id
+        let id = self.records.len() as u32;
+        self.slots[slot] = id;
+        let start = self.names.len() as u32;
+        self.names.push_str(name);
+        let mut record = TypeRecord {
+            parent,
+            name: (start, self.names.len() as u32),
+            depth: 0,
+            first_child: NONE,
+            last_child: NONE,
+            next_sibling: NONE,
+        };
+        match link(parent) {
+            None => self.roots.push(TypeId(id)),
+            Some(p) => {
+                let p = &mut self.records[p.index()];
+                record.depth = p.depth + 1;
+                match link(std::mem::replace(&mut p.last_child, id)) {
+                    None => p.first_child = id,
+                    Some(last) => self.records[last.index()].next_sibling = id,
+                }
+            }
+        }
+        self.records.push(record);
+        TypeId(id)
+    }
+
+    /// The slot holding `(parent, name)`'s type, or the empty slot where
+    /// it would go. Only the name is hashed; the parent id offsets it.
+    fn slot(&self, parent: u32, name: &str) -> usize {
+        let h = self.hasher.hash_one(name) ^ u64::from(parent).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut i = (h >> (64 - self.slots.len().trailing_zeros())) as usize;
+        while let Some(t) = self.slots.get(i).and_then(|&t| link(t)) {
+            if self.records[t.index()].parent == parent && self.name(t) == name {
+                break;
+            }
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+        i
+    }
+
+    /// The type `name` under `parent` (a root when `None`), if interned.
+    fn find(&self, parent: Option<TypeId>, name: &str) -> Option<TypeId> {
+        let slot = self.slot(parent.map_or(NONE, |p| p.0), name);
+        link(*self.slots.get(slot)?)
     }
 
     /// Look up a type by its exact path.
     pub fn lookup(&self, path: &[String]) -> Option<TypeId> {
-        self.by_path.get(path).copied()
+        path.iter()
+            .try_fold(None, |t, name| self.find(t, name).map(Some))?
     }
 
     /// The root path of names for a type.
-    pub fn path(&self, id: TypeId) -> &[String] {
-        &self.infos[id.index()].path
+    pub fn path(&self, id: TypeId) -> Vec<String> {
+        let up = std::iter::successors(Some(id), |&t| self.parent(t));
+        let mut path: Vec<String> = up.map(|t| self.name(t).to_string()).collect();
+        path.reverse();
+        path
     }
 
     /// The element name of the type (last path segment).
     pub fn name(&self, id: TypeId) -> &str {
-        self.infos[id.index()].path.last().expect("non-empty path")
+        let (start, end) = self.records[id.index()].name;
+        &self.names[start as usize..end as usize]
     }
 
     /// The parent type (path minus last segment), or `None` for roots.
     pub fn parent(&self, id: TypeId) -> Option<TypeId> {
-        self.infos[id.index()].parent
+        link(self.records[id.index()].parent)
+    }
+
+    /// Child types of `id`, in interning order.
+    pub fn children(&self, id: TypeId) -> impl Iterator<Item = TypeId> + '_ {
+        let first = link(self.records[id.index()].first_child);
+        std::iter::successors(first, |&c| link(self.records[c.index()].next_sibling))
+    }
+
+    /// Root types (single-name paths), in interning order — the
+    /// paper's `roots(S)`.
+    pub fn roots(&self) -> &[TypeId] {
+        &self.roots
     }
 
     /// Depth of the type: roots are at depth 0. Equals the shared depth
     /// of every instance.
     pub fn depth(&self, id: TypeId) -> usize {
-        self.infos[id.index()].path.len() - 1
+        self.records[id.index()].depth as usize
     }
 
     /// Dewey length of instances of this type (root instances have
     /// length 1).
     pub fn dewey_len(&self, id: TypeId) -> usize {
-        self.infos[id.index()].path.len()
+        self.depth(id) + 1
     }
 
     /// Dotted display name, e.g. `data.book.author`.
     pub fn dotted(&self, id: TypeId) -> String {
-        self.infos[id.index()].path.join(".")
+        self.path(id).join(".")
     }
 
     /// All type ids, in interning order.
     pub fn ids(&self) -> impl Iterator<Item = TypeId> {
-        (0..self.infos.len() as u32).map(TypeId)
+        (0..self.records.len() as u32).map(TypeId)
     }
 
     /// Types matching a guard label (§VI): a bare label matches every
@@ -161,26 +221,25 @@ impl TypeTable {
     /// `book.author` matches types whose path *ends with* those segments
     /// (the paper's disambiguation device).
     pub fn matching(&self, label: &str) -> Vec<TypeId> {
-        let segments: Vec<&str> = label.split('.').collect();
         self.ids()
-            .filter(|&id| {
-                let path = self.path(id);
-                path.len() >= segments.len()
-                    && path[path.len() - segments.len()..]
-                        .iter()
-                        .zip(&segments)
-                        .all(|(p, s)| p == s)
-            })
+            .filter(|&id| label_matches(label, id, |t| (self.name(t), self.parent(t))))
             .collect()
     }
 
-    /// Length of the common path prefix of two types (≥ 1 when both
-    /// types come from the same rooted document; 0 when their roots
-    /// differ).
-    pub fn common_prefix_len(&self, a: TypeId, b: TypeId) -> usize {
-        let pa = self.path(a);
-        let pb = self.path(b);
-        pa.iter().zip(pb.iter()).take_while(|(x, y)| x == y).count()
+    /// The least common ancestor of two types, or `None` when their
+    /// roots differ. Interning is unique, so two types at one depth
+    /// are equal exactly when their paths are.
+    pub fn lca(&self, mut a: TypeId, mut b: TypeId) -> Option<TypeId> {
+        while a != b {
+            let (da, db) = (self.depth(a), self.depth(b));
+            if da >= db {
+                a = self.parent(a)?;
+            }
+            if db >= da {
+                b = self.parent(b)?;
+            }
+        }
+        Some(a)
     }
 
     /// Tree distance between the two types *in the data guide* — the
@@ -188,20 +247,19 @@ impl TypeTable {
     /// The exact data-backed value lives on
     /// [`crate::store::shredded::Snapshot::type_distance_exact`].
     pub fn guide_distance(&self, a: TypeId, b: TypeId) -> Option<usize> {
-        let l = self.common_prefix_len(a, b);
-        if l == 0 {
-            return None;
-        }
-        Some(self.path(a).len() + self.path(b).len() - 2 * l)
+        let l = self.depth(self.lca(a, b)?);
+        Some(self.depth(a) + self.depth(b) - 2 * l)
     }
 
-    /// Serialize the table (paths only) for persistence.
+    /// Serialize the table (each type's full path, in id order) for
+    /// persistence.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&(self.infos.len() as u32).to_le_bytes());
-        for info in &self.infos {
-            out.extend_from_slice(&(info.path.len() as u32).to_le_bytes());
-            for seg in &info.path {
+        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
+        for id in self.ids() {
+            let path = self.path(id);
+            out.extend_from_slice(&(path.len() as u32).to_le_bytes());
+            for seg in path {
                 out.extend_from_slice(&(seg.len() as u32).to_le_bytes());
                 out.extend_from_slice(seg.as_bytes());
             }
@@ -210,7 +268,9 @@ impl TypeTable {
     }
 
     /// Inverse of [`TypeTable::to_bytes`]. Interning order is preserved,
-    /// so `TypeId`s remain stable across a save/load cycle.
+    /// so `TypeId`s remain stable across a save/load cycle: path `i`
+    /// must intern as `TypeId(i)` under a parent already present, or
+    /// the bytes are corrupt.
     pub fn from_bytes(bytes: &[u8]) -> Option<TypeTable> {
         let mut table = TypeTable::new();
         let mut off = 0usize;
@@ -226,22 +286,43 @@ impl TypeTable {
         if n as usize > bytes.len() / 4 {
             return None;
         }
-        for _ in 0..n {
+        for i in 0..n as usize {
             let plen = read_u32(bytes, &mut off)? as usize;
             if plen == 0 || plen > (bytes.len() - off) / 4 {
                 return None;
             }
-            let mut path = Vec::with_capacity(plen);
-            for _ in 0..plen {
+            let mut parent = None;
+            for k in 0..plen {
                 let slen = read_u32(bytes, &mut off)? as usize;
                 let seg = std::str::from_utf8(bytes.get(off..off + slen)?).ok()?;
                 off += slen;
-                path.push(seg.to_string());
+                if k + 1 < plen {
+                    parent = Some(table.find(parent, seg)?);
+                } else if table.intern_child(parent, seg).index() != i {
+                    return None;
+                }
             }
-            table.intern(&path);
         }
         Some(table)
     }
+}
+
+/// The dotted-suffix label rule of §VI, for any tree of named nodes:
+/// `label`'s segments, read from the last, equal the names met walking
+/// up from `node`. `up` gives a node's name and parent.
+pub(crate) fn label_matches<'a, N>(
+    label: &str,
+    node: N,
+    up: impl Fn(N) -> (&'a str, Option<N>),
+) -> bool {
+    let mut cur = Some(node);
+    label.rsplit('.').all(|seg| match cur.take().map(&up) {
+        Some((name, parent)) => {
+            cur = parent;
+            name == seg
+        }
+        None => false,
+    })
 }
 
 #[cfg(test)]
@@ -332,5 +413,67 @@ mod tests {
         let mut t = TypeTable::new();
         let id = t.intern(&p(&["data", "book", "author"]));
         assert_eq!(t.dotted(id), "data.book.author");
+    }
+
+    /// A table blob in the persisted layout, paths in the order given.
+    fn blob(paths: &[&[&str]]) -> Vec<u8> {
+        let mut out = (paths.len() as u32).to_le_bytes().to_vec();
+        for path in paths {
+            out.extend_from_slice(&(path.len() as u32).to_le_bytes());
+            for seg in *path {
+                out.extend_from_slice(&(seg.len() as u32).to_le_bytes());
+                out.extend_from_slice(seg.as_bytes());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn from_bytes_rejects_a_child_before_its_parent() {
+        assert!(TypeTable::from_bytes(&blob(&[&["a", "b"], &["a"]])).is_none());
+        let t = TypeTable::from_bytes(&blob(&[&["a"], &["a", "b"]])).unwrap();
+        assert_eq!(t.dotted(TypeId(1)), "a.b");
+    }
+
+    #[test]
+    fn from_bytes_rejects_a_repeated_path() {
+        assert!(TypeTable::from_bytes(&blob(&[&["a"], &["a"]])).is_none());
+        assert!(TypeTable::from_bytes(&blob(&[&["a"], &["a", "b"], &["a", "b"]])).is_none());
+    }
+
+    #[test]
+    fn children_and_roots_keep_interning_order() {
+        let mut t = TypeTable::new();
+        let b = t.intern(&p(&["r", "b"]));
+        let a = t.intern(&p(&["r", "a"]));
+        let x = t.intern(&p(&["x"]));
+        let r = t.parent(a).unwrap();
+        assert_eq!(t.children(r).collect::<Vec<_>>(), [b, a]);
+        assert_eq!(t.children(a).count(), 0);
+        assert_eq!(t.roots(), [r, x]);
+        assert_eq!(t.lca(a, b), Some(r));
+        assert_eq!(t.lca(a, x), None);
+        assert_eq!(t.path(a), p(&["r", "a"]));
+    }
+
+    /// The child index answers by `(parent, name)`, so a parent with
+    /// 50k distinct children interns in linear time.
+    #[test]
+    fn a_wide_parent_interns_in_linear_time() {
+        let mut t = TypeTable::new();
+        let root = t.intern_child(None, "root");
+        let names: Vec<String> = (0..50_000).map(|i| format!("c{i}")).collect();
+        let start = std::time::Instant::now();
+        let ids: Vec<TypeId> = names
+            .iter()
+            .map(|n| t.intern_child(Some(root), n))
+            .collect();
+        for (n, &id) in names.iter().zip(&ids) {
+            assert_eq!(t.intern_child(Some(root), n), id);
+            assert_eq!(t.lookup(&[String::from("root"), n.clone()]), Some(id));
+        }
+        let elapsed = start.elapsed();
+        assert!(t.children(root).eq(ids.iter().copied()));
+        assert!(elapsed.as_secs() < 2, "took {elapsed:?}");
     }
 }

@@ -89,13 +89,18 @@ fn relative_path(
     target: &Shape,
 ) -> Option<Vec<String>> {
     let pb = target.nodes[parent].base?;
-    let cb = target.nodes[child].base?;
-    let pp = doc.types().path(pb);
-    let cp = doc.types().path(cb);
-    if cp.len() <= pp.len() || cp[..pp.len()] != *pp {
+    let mut cur = target.nodes[child].base?;
+    let types = doc.types();
+    let mut rel = Vec::new();
+    while types.depth(cur) > types.depth(pb) {
+        rel.push(types.name(cur).to_string());
+        cur = types.parent(cur)?;
+    }
+    if cur != pb || rel.is_empty() {
         return None;
     }
-    Some(cp[pp.len()..].to_vec())
+    rel.reverse();
+    Some(rel)
 }
 
 fn compile_root(
@@ -171,13 +176,10 @@ fn compile_element(
         for &c in &shape_node.children {
             let rel =
                 relative_path(doc, node, c, target).ok_or_else(|| ViewError::NotNavigable {
-                    parent: doc
-                        .types()
-                        .path(shape_node.base.expect("bound node"))
-                        .join("."),
+                    parent: doc.types().dotted(shape_node.base.expect("bound node")),
                     child: target.nodes[c]
                         .base
-                        .map(|b| doc.types().path(b).join("."))
+                        .map(|b| doc.types().dotted(b))
                         .unwrap_or_else(|| target.nodes[c].name.clone()),
                 })?;
             let child_var = fresh(var_counter);

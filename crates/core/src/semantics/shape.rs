@@ -7,7 +7,7 @@
 
 use crate::model::card::Card;
 use crate::model::shape::AdornedShape;
-use crate::model::types::TypeId;
+use crate::model::types::{label_matches, TypeId};
 use std::fmt;
 
 /// Index of a node within a [`Shape`] arena.
@@ -156,18 +156,10 @@ impl Shape {
     /// suffix rule as [`crate::model::types::TypeTable::matching`].
     /// Filter nodes are excluded.
     pub fn matching_label(&self, label: &str) -> Vec<SId> {
-        let segments: Vec<&str> = label.split('.').collect();
         let filter_nodes = self.filter_node_set();
+        let up = |n: SId| (self.nodes[n].name.as_str(), self.nodes[n].parent);
         (0..self.nodes.len())
-            .filter(|&n| !filter_nodes[n])
-            .filter(|&n| {
-                let path = self.path_names(n);
-                path.len() >= segments.len()
-                    && path[path.len() - segments.len()..]
-                        .iter()
-                        .zip(&segments)
-                        .all(|(p, s)| p == s)
-            })
+            .filter(|&n| !filter_nodes[n] && label_matches(label, n, up))
             .collect()
     }
 

@@ -316,7 +316,7 @@ fn shred_fragment(
             }
             XmlEvent::EndElement { .. } => {
                 let f = stack.pop().expect("balanced events");
-                for ct in shape.children(f.type_id).to_vec() {
+                for ct in shape.types().children(f.type_id).collect::<Vec<_>>() {
                     let n = f.child_counts.get(&ct).copied().unwrap_or(0);
                     let old = shape.card(ct);
                     let widened = Card::new(old.min.min(n), old.max.max(CardMax::Finite(n)));
@@ -464,7 +464,7 @@ impl ShreddedDoc {
             .parent()
             .ok_or_else(|| mutation_err("cannot insert before the document root"))?;
         let ptype = self.node_type_required(&parent)?;
-        self.type_among(self.shape.children(ptype), &sibling.encode())?
+        self.type_among(self.shape.types().children(ptype), &sibling.encode())?
             .ok_or_else(|| mutation_err(format!("no node {sibling}")))?;
         let b = *sibling.components().last().expect("non-root dewey");
         // The previous sibling's ordinal, or 0 when there is none.
@@ -572,10 +572,10 @@ impl ShreddedDoc {
     /// has the key `c ‖ parent ‖ ordinal`.
     fn child_prefixes(&self, parent: &Dewey, ptype: TypeId) -> Vec<Vec<u8>> {
         let at = parent.encode();
-        let children = self.shape.children(ptype).iter();
+        let children = self.shape.types().children(ptype);
         children
-            .filter(|&&c| self.shape.instance_count(c) > 0)
-            .map(|&c| {
+            .filter(|&c| self.shape.instance_count(c) > 0)
+            .map(|c| {
                 let mut prefix = Vec::with_capacity(8 + at.len());
                 typeseq_key_into(&mut prefix, c, &at);
                 prefix
@@ -644,8 +644,8 @@ impl ShreddedDoc {
             let rows = self.typeseq.count_prefix(&prefix);
             if t == root || rows.in_op("count tree \"typeseq\"")? > 0 {
                 found.push(t);
-                let children = self.shape.children(t).iter();
-                pending.extend(children.filter(|&&c| self.shape.instance_count(c) > 0));
+                let children = self.shape.types().children(t);
+                pending.extend(children.filter(|&c| self.shape.instance_count(c) > 0));
             }
         }
         Ok(found)
@@ -675,7 +675,7 @@ impl ShreddedDoc {
     ) -> MorphResult<()> {
         let at = parent.child(old_ord).encode();
         let root = self
-            .type_among(self.shape.children(ptype), &at)?
+            .type_among(self.shape.types().children(ptype), &at)?
             .ok_or(MorphError::Internal("renumbered sibling vanished"))?;
         let types = self.subtree_types(root, &at)?;
         self.cow_pin(types.iter().copied())?;
@@ -718,7 +718,10 @@ impl ShreddedDoc {
         deltas: &mut Deltas,
     ) -> MorphResult<Dewey> {
         let root_dewey = parent.child(ordinal);
-        let occupant = self.type_among(self.shape.children(parent_type), &root_dewey.encode())?;
+        let occupant = self.type_among(
+            self.shape.types().children(parent_type),
+            &root_dewey.encode(),
+        )?;
         if occupant.is_some() {
             return Err(mutation_err(format!("label {root_dewey} is occupied")));
         }

@@ -901,7 +901,8 @@ fn distance_by_levels<E>(
     }
     let types = shape.types();
     let (la, lb) = (types.dewey_len(a), types.dewey_len(b));
-    for level in (1..=types.common_prefix_len(a, b)).rev() {
+    let shared = types.lca(a, b).map_or(0, |l| types.dewey_len(l));
+    for level in (1..=shared).rev() {
         if co_occur(level)? {
             return Ok(Some(la + lb - 2 * level));
         }
@@ -1701,7 +1702,7 @@ impl ShreddedDoc {
         let txn = store.begin().in_op("begin shred transaction")?;
         let typeseq = store.open_tree("typeseq").in_op("open tree \"typeseq\"")?;
         let meta = store.open_tree("meta").in_op("open tree \"meta\"")?;
-        let mut builder = AdornedShape::builder();
+        let mut builder = ShapeBuilder::default();
         drive_parse(reader, &mut builder, |k, v| {
             typeseq.insert(k, v).in_op("insert into tree \"typeseq\"")?;
             Ok(())
@@ -1743,7 +1744,7 @@ impl ShreddedDoc {
         // spilling per-entry runs.
         let per = (budget / 2).max(4 * 1024);
         let mut runs = RunSpiller::new(store, &guard, "t", per);
-        let mut builder = AdornedShape::builder();
+        let mut builder = ShapeBuilder::default();
         drive_parse(reader, &mut builder, |k, v| runs.push(k, v))?;
         let shape = builder.finish();
 
@@ -1903,8 +1904,11 @@ impl ShreddedDoc {
         let at = dewey.encode();
         let mut found = None;
         for depth in 1..=dewey.len() {
-            let types = found.map_or(self.shape.roots(), |t| self.shape.children(t));
-            found = self.type_among(types, &at[..depth * 4])?;
+            let at = &at[..depth * 4];
+            found = match found {
+                None => self.type_among(self.shape.types().roots().iter().copied(), at)?,
+                Some(t) => self.type_among(self.shape.types().children(t), at)?,
+            };
             if found.is_none() {
                 break;
             }
@@ -1918,11 +1922,14 @@ impl ShreddedDoc {
     /// at the node's depth.
     pub(in crate::store) fn type_among(
         &self,
-        types: &[TypeId],
+        types: impl IntoIterator<Item = TypeId>,
         at: &[u8],
     ) -> MorphResult<Option<TypeId>> {
         let mut key = Vec::with_capacity(4 + at.len());
-        for &t in types.iter().filter(|&&t| self.shape.instance_count(t) > 0) {
+        for t in types
+            .into_iter()
+            .filter(|&t| self.shape.instance_count(t) > 0)
+        {
             typeseq_key_into(&mut key, t, at);
             if self.typeseq.contains(&key).in_op("probe typeseq")? {
                 return Ok(Some(t));

@@ -646,7 +646,7 @@ fn typing_code(t: xmorph_core::GuardTyping) -> u8 {
 
 fn error_code(e: &MorphError) -> ErrorCode {
     match e {
-        MorphError::Parse { .. } => ErrorCode::GuardParse,
+        MorphError::Parse { .. } | MorphError::TooDeep { .. } => ErrorCode::GuardParse,
         MorphError::Rejected { .. } => ErrorCode::Rejected,
         _ => ErrorCode::Query,
     }

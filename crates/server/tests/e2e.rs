@@ -146,6 +146,34 @@ fn typed_errors_for_bad_requests() {
 }
 
 #[test]
+fn a_guard_nested_past_the_limit_gets_a_parse_error_and_the_session_lives() {
+    let (handle, _reference) = serve(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    // 100k levels would overflow a connection thread's stack if the
+    // parser followed them.
+    let guard = format!(
+        "MORPH {}name{}",
+        "author [ ".repeat(100_000),
+        " ]".repeat(100_000)
+    );
+    match client
+        .query("library", &guard, QueryOpts::default())
+        .unwrap()
+    {
+        Reply::Error { code, message } => {
+            assert_eq!(code, ErrorCode::GuardParse);
+            assert!(message.contains("nests deeper"), "{message}");
+        }
+        other => panic!("{other:?}"),
+    }
+    match client.ping().unwrap() {
+        Reply::Result { .. } => {}
+        other => panic!("{other:?}"),
+    }
+    handle.shutdown().unwrap();
+}
+
+#[test]
 fn ping_stats_and_list_stores() {
     let (handle, _reference) = serve(ServerConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
