@@ -21,23 +21,23 @@
 
 use crate::report::{LossFinding, LossReport};
 use crate::semantics::shape::{SId, Shape};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Run the loss analysis: `src` is the data-backed source shape, `tgt`
 /// the evaluated target shape (with predicted cardinalities), and
 /// `instance_count(t)` the number of instances of source-shape node `t`.
 pub fn analyze_loss(src: &Shape, tgt: &Shape, instance_count: impl Fn(SId) -> u64) -> LossReport {
     let mut findings: Vec<LossFinding> = Vec::new();
-    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut seen: HashSet<LossFinding> = HashSet::new();
     let mut inclusive = true;
     let mut non_additive = true;
 
-    let push = |findings: &mut Vec<LossFinding>, seen: &mut BTreeSet<String>, f: LossFinding| {
-        let key = format!("{f:?}");
-        if seen.insert(key) {
-            findings.push(f);
-        }
-    };
+    let push =
+        |findings: &mut Vec<LossFinding>, seen: &mut HashSet<LossFinding>, f: LossFinding| {
+            if seen.insert(f.clone()) {
+                findings.push(f);
+            }
+        };
 
     // Renderable target nodes (filters excluded) in preorder.
     let nodes = tgt.preorder();

@@ -78,36 +78,40 @@ fn is_label_char(c: char) -> bool {
     is_label_start(c) || matches!(c, '-' | '.')
 }
 
+const KEYWORDS: &[(&str, Tok)] = &[
+    ("MORPH", Tok::Morph),
+    ("MUTATE", Tok::Mutate),
+    ("DROP", Tok::Drop),
+    ("TRANSLATE", Tok::Translate),
+    ("RESTRICT", Tok::Restrict),
+    ("NEW", Tok::New),
+    ("CLONE", Tok::Clone),
+    ("CHILDREN", Tok::Children),
+    ("DESCENDANTS", Tok::Descendants),
+    ("COMPOSE", Tok::Compose),
+    ("CAST", Tok::Cast),
+    ("CAST-NARROWING", Tok::CastNarrowing),
+    ("CAST-WIDENING", Tok::CastWidening),
+    ("TYPE-FILL", Tok::TypeFill),
+];
+
 fn keyword(word: &str) -> Option<Tok> {
-    match word.to_ascii_uppercase().as_str() {
-        "MORPH" => Some(Tok::Morph),
-        "MUTATE" => Some(Tok::Mutate),
-        "DROP" => Some(Tok::Drop),
-        "TRANSLATE" => Some(Tok::Translate),
-        "RESTRICT" => Some(Tok::Restrict),
-        "NEW" => Some(Tok::New),
-        "CLONE" => Some(Tok::Clone),
-        "CHILDREN" => Some(Tok::Children),
-        "DESCENDANTS" => Some(Tok::Descendants),
-        "COMPOSE" => Some(Tok::Compose),
-        "CAST" => Some(Tok::Cast),
-        "CAST-NARROWING" => Some(Tok::CastNarrowing),
-        "CAST-WIDENING" => Some(Tok::CastWidening),
-        "TYPE-FILL" => Some(Tok::TypeFill),
-        _ => None,
-    }
+    KEYWORDS
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(word))
+        .map(|(_, tok)| tok.clone())
 }
 
 /// Tokenize a guard program. Brackets and parentheses open past
 /// [`MAX_NESTING`] fail here, before the rest of the text is read: each
 /// one opens a parser nesting level, so the parser would refuse them.
+/// The text is stepped by byte offset; only a label's token owns a copy
+/// of its text.
 pub fn lex(src: &str) -> MorphResult<Vec<Token>> {
     let mut out = Vec::new();
-    let chars: Vec<(usize, char)> = src.char_indices().collect();
-    let mut i = 0usize;
+    let mut offset = 0usize;
     let mut open = 0usize;
-    while i < chars.len() {
-        let (offset, c) = chars[i];
+    while let Some(c) = src[offset..].chars().next() {
         match c {
             '[' | '(' if open == MAX_NESTING => {
                 return Err(MorphError::TooDeep {
@@ -119,101 +123,33 @@ pub fn lex(src: &str) -> MorphResult<Vec<Token>> {
             ']' | ')' => open = open.saturating_sub(1),
             _ => {}
         }
-        match c {
+        // `*` and `-` are ASCII, so the next character is the next byte.
+        let next = src.as_bytes().get(offset + 1).copied();
+        let (tok, len) = match c {
             c if c.is_whitespace() => {
-                i += 1;
+                offset += c.len_utf8();
+                continue;
             }
-            '[' => {
-                out.push(Token {
-                    tok: Tok::LBracket,
-                    offset,
-                });
-                i += 1;
-            }
-            ']' => {
-                out.push(Token {
-                    tok: Tok::RBracket,
-                    offset,
-                });
-                i += 1;
-            }
-            '(' => {
-                out.push(Token {
-                    tok: Tok::LParen,
-                    offset,
-                });
-                i += 1;
-            }
-            ')' => {
-                out.push(Token {
-                    tok: Tok::RParen,
-                    offset,
-                });
-                i += 1;
-            }
-            '|' => {
-                out.push(Token {
-                    tok: Tok::Pipe,
-                    offset,
-                });
-                i += 1;
-            }
-            ',' => {
-                out.push(Token {
-                    tok: Tok::Comma,
-                    offset,
-                });
-                i += 1;
-            }
-            '!' => {
-                out.push(Token {
-                    tok: Tok::Bang,
-                    offset,
-                });
-                i += 1;
-            }
-            '*' => {
-                if matches!(chars.get(i + 1), Some((_, '*'))) {
-                    out.push(Token {
-                        tok: Tok::StarStar,
-                        offset,
-                    });
-                    i += 2;
-                } else {
-                    out.push(Token {
-                        tok: Tok::Star,
-                        offset,
-                    });
-                    i += 1;
-                }
-            }
-            '-' if matches!(chars.get(i + 1), Some((_, '>'))) => {
-                out.push(Token {
-                    tok: Tok::Arrow,
-                    offset,
-                });
-                i += 2;
-            }
+            '[' => (Tok::LBracket, 1),
+            ']' => (Tok::RBracket, 1),
+            '(' => (Tok::LParen, 1),
+            ')' => (Tok::RParen, 1),
+            '|' => (Tok::Pipe, 1),
+            ',' => (Tok::Comma, 1),
+            '!' => (Tok::Bang, 1),
+            '*' if next == Some(b'*') => (Tok::StarStar, 2),
+            '*' => (Tok::Star, 1),
+            '-' if next == Some(b'>') => (Tok::Arrow, 2),
             c if is_label_start(c) => {
-                let start = i;
-                while i < chars.len() && is_label_char(chars[i].1) {
-                    // Stop before a `-` that begins an `->` arrow.
-                    if chars[i].1 == '-' && matches!(chars.get(i + 1), Some((_, '>'))) {
-                        break;
-                    }
-                    i += 1;
-                }
-                let end = if i < chars.len() {
-                    chars[i].0
-                } else {
-                    src.len()
-                };
-                let word = &src[offset..end];
+                let rest = &src[offset..];
+                // Stop before a `-` that begins an `->` arrow.
+                let len = rest
+                    .char_indices()
+                    .find(|&(i, c)| !is_label_char(c) || rest[i..].starts_with("->"))
+                    .map_or(rest.len(), |(i, _)| i);
+                let word = &rest[..len];
                 let tok = keyword(word).unwrap_or_else(|| Tok::Label(word.to_string()));
-                out.push(Token {
-                    tok,
-                    offset: chars[start].0,
-                });
+                (tok, len)
             }
             other => {
                 return Err(MorphError::Parse {
@@ -221,7 +157,9 @@ pub fn lex(src: &str) -> MorphResult<Vec<Token>> {
                     offset,
                 });
             }
-        }
+        };
+        out.push(Token { tok, offset });
+        offset += len;
     }
     Ok(out)
 }

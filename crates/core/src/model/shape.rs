@@ -1,11 +1,21 @@
 //! Adorned shapes (Def. 3): the data guide of a collection, with each
 //! parent/child type edge adorned by a cardinality range.
+//!
+//! A shape persists as one row per type ([`AdornedShape::type_row`]),
+//! like the paper's `AdornedShapes` relation (Fig. 8). A shred writes
+//! every row in one blob ([`AdornedShape::to_bytes`]); a mutation writes
+//! the rows it changed; [`AdornedShape::apply_type_row`] decodes both.
 
 use crate::model::card::{Card, CardMax};
 use crate::model::types::{TypeId, TypeTable};
 use std::collections::BTreeSet;
 use std::fmt;
 use xmorph_xml::dom::Document;
+
+/// The four bytes that open a shape blob ([`AdornedShape::to_bytes`]).
+/// A blob of the earlier path format opened with the length of its type
+/// table, always shorter than the blob, so it never starts with these.
+pub(crate) const SHAPE_BLOB_TAG: [u8; 4] = u32::MAX.to_le_bytes();
 
 /// The adorned shape of a data collection: a forest over root-path types
 /// where the edge into each type `u` carries `n..m` — the minimum and
@@ -179,40 +189,45 @@ impl AdornedShape {
         Some(card)
     }
 
-    /// Serialize (type table + cards + counts).
+    /// Serialize: [`SHAPE_BLOB_TAG`], the type count (u32 LE), then
+    /// every type's [`AdornedShape::type_row`] in id order, each after
+    /// its length (u32 LE).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let tbytes = self.types.to_bytes();
-        out.extend_from_slice(&(tbytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&tbytes);
-        for i in 0..self.types.len() {
-            out.extend_from_slice(&self.edge_card[i].to_bytes());
-            out.extend_from_slice(&self.counts[i].to_le_bytes());
+        let mut out = SHAPE_BLOB_TAG.to_vec();
+        out.extend_from_slice(&(self.types.len() as u32).to_le_bytes());
+        for t in self.type_ids() {
+            let row = self.type_row(t);
+            out.extend_from_slice(&(row.len() as u32).to_le_bytes());
+            out.extend_from_slice(&row);
         }
         out
     }
 
-    /// Inverse of [`AdornedShape::to_bytes`].
+    /// Inverse of [`AdornedShape::to_bytes`]: each row applies to an
+    /// empty shape as the next type id, by the same
+    /// [`AdornedShape::apply_type_row`] that overlays a store's rows, so
+    /// a row listed before its parent or a path listed twice is `None`,
+    /// as are a missing tag, a missing row, a torn length and trailing
+    /// bytes. Nothing is sized from a count or length before its bytes
+    /// are read.
     pub fn from_bytes(bytes: &[u8]) -> Option<AdornedShape> {
-        let tlen = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-        let types = TypeTable::from_bytes(bytes.get(4..4 + tlen)?)?;
-        // One row per type, a card (17 B) then a count, and nothing after.
-        let rows = bytes
-            .get(4 + tlen..)
-            .filter(|r| r.len() == 25 * types.len())?;
-        let mut edge_card = Vec::with_capacity(types.len());
-        let mut counts = Vec::with_capacity(types.len());
-        for row in rows.chunks_exact(25) {
-            edge_card.push(Card::from_bytes(&row[..17])?);
-            counts.push(u64::from_le_bytes(row[17..].try_into().ok()?));
+        let (n, mut rest) = bytes
+            .strip_prefix(&SHAPE_BLOB_TAG)?
+            .split_first_chunk::<4>()?;
+        let mut shape = Self::assemble(TypeTable::new(), Vec::new(), Vec::new());
+        for t in 0..u32::from_le_bytes(*n) {
+            let (len, tail) = rest.split_first_chunk::<4>()?;
+            let (row, tail) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+            shape.apply_type_row(TypeId(t), row)?;
+            rest = tail;
         }
-        Some(Self::assemble(types, edge_card, counts))
+        rest.is_empty().then_some(shape)
     }
 
-    /// One type's persisted override row, the per-type complement of
-    /// [`AdornedShape::to_bytes`]: the edge card (17 B), the instance
+    /// One type's persisted row: the edge card (17 B), the instance
     /// count (8 B LE), the parent id (4 B LE, `u32::MAX` for a root) and
-    /// the element name.
+    /// the element name. A shape blob is these rows, and a mutation
+    /// writes one per type it changed.
     pub fn type_row(&self, t: TypeId) -> Vec<u8> {
         let name = self.types.name(t);
         let mut out = Vec::with_capacity(29 + name.len());
@@ -224,30 +239,33 @@ impl AdornedShape {
         out
     }
 
-    /// Overlay a row written by [`AdornedShape::type_row`]. The row's
-    /// path must name type `t`: an existing type, or the next one to
-    /// intern (rows apply in ascending id order, so a new type's parent
-    /// is already present). `None` means the row does not fit this
-    /// shape — corruption. The overlay leaves no type dirty.
+    /// Apply a row written by [`AdornedShape::type_row`]. The row's path
+    /// must name type `t`: an existing type, or the next one to intern,
+    /// a root or under a parent already present (rows apply in ascending
+    /// id order). `None` means the row does not fit this shape —
+    /// corruption. Applying a row is no edit and leaves no type dirty.
     pub fn apply_type_row(&mut self, t: TypeId, row: &[u8]) -> Option<()> {
         let card = Card::from_bytes(row.get(..17)?)?;
         let count = u64::from_le_bytes(row.get(17..25)?.try_into().ok()?);
         let parent = u32::from_le_bytes(row.get(25..29)?.try_into().ok()?);
         let parent = (parent != u32::MAX).then_some(TypeId(parent));
         let name = std::str::from_utf8(&row[29..]).ok()?;
-        if t.index() < self.types.len() {
+        let n = self.types.len();
+        if t.index() < n {
             if self.types.parent(t) != parent || self.types.name(t) != name {
                 return None;
             }
+            self.edge_card[t.index()] = card;
+            self.counts[t.index()] = count;
+        } else if t.index() == n
+            && parent.is_none_or(|p| p.index() < n)
+            && self.types.intern_child(parent, name) == t
+        {
+            self.edge_card.push(card);
+            self.counts.push(count);
         } else {
-            let parent = parent.filter(|p| p.index() < self.types.len())?;
-            if self.intern_child_type(parent, name) != t {
-                return None;
-            }
-            self.dirty.remove(&t);
+            return None;
         }
-        self.edge_card[t.index()] = card;
-        self.counts[t.index()] = count;
         Some(())
     }
 
@@ -544,10 +562,82 @@ mod tests {
         let back = AdornedShape::from_bytes(&shape.to_bytes()).unwrap();
         assert_eq!(back.types().len(), shape.types().len());
         for id in shape.type_ids() {
+            assert_eq!(back.types().path(id), shape.types().path(id));
             assert_eq!(back.card(id), shape.card(id));
             assert_eq!(back.instance_count(id), shape.instance_count(id));
         }
         assert_eq!(back.types().roots(), shape.types().roots());
+        assert_eq!(back.dirty_types().count(), 0);
+    }
+
+    /// A shape blob of one-instance types, paths in the order given,
+    /// each row naming its parent by the parent path's place in `paths`.
+    fn blob(paths: &[&[&str]]) -> Vec<u8> {
+        let mut out = SHAPE_BLOB_TAG.to_vec();
+        out.extend_from_slice(&(paths.len() as u32).to_le_bytes());
+        for path in paths {
+            let (name, up) = path.split_last().unwrap();
+            let parent = paths
+                .iter()
+                .position(|&p| p == up)
+                .map_or(u32::MAX, |i| i as u32);
+            let mut row = Card::one().to_bytes().to_vec();
+            row.extend_from_slice(&1u64.to_le_bytes());
+            row.extend_from_slice(&parent.to_le_bytes());
+            row.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(&(row.len() as u32).to_le_bytes());
+            out.extend_from_slice(&row);
+        }
+        out
+    }
+
+    #[test]
+    fn from_bytes_rejects_a_child_before_its_parent() {
+        assert!(AdornedShape::from_bytes(&blob(&[&["a", "b"], &["a"]])).is_none());
+        let shape = AdornedShape::from_bytes(&blob(&[&["a"], &["a", "b"]])).unwrap();
+        assert_eq!(shape.types().dotted(TypeId(1)), "a.b");
+    }
+
+    #[test]
+    fn from_bytes_rejects_a_repeated_path() {
+        assert!(AdornedShape::from_bytes(&blob(&[&["a"], &["a"]])).is_none());
+        assert!(AdornedShape::from_bytes(&blob(&[&["a"], &["a", "b"], &["a", "b"]])).is_none());
+    }
+
+    /// Every torn or lengthened copy of a real blob decodes to `None`,
+    /// and a blob in the earlier path format is not a blob at all.
+    #[test]
+    fn from_bytes_rejects_every_prefix_and_an_extra_byte() {
+        use xmorph_datagen::XmarkConfig;
+        let xml = XmarkConfig::with_factor(0.05).generate();
+        let bytes = AdornedShape::from_document(&Document::parse_str(&xml).unwrap()).to_bytes();
+        assert!(AdornedShape::from_bytes(&bytes).is_some());
+        for end in 0..bytes.len() {
+            assert!(AdornedShape::from_bytes(&bytes[..end]).is_none(), "{end}");
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(AdornedShape::from_bytes(&longer).is_none());
+        // A count, or a row length, that runs past the blob.
+        let mut torn = bytes[..8].to_vec();
+        torn.extend_from_slice(&u32::MAX.to_le_bytes());
+        torn.extend_from_slice(&bytes[12..60]);
+        assert!(AdornedShape::from_bytes(&torn).is_none());
+        torn[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(AdornedShape::from_bytes(&torn).is_none());
+    }
+
+    /// A blob holds each type's name once, so a chain's blob grows
+    /// linearly in its depth.
+    #[test]
+    fn a_deep_chain_blob_is_linear_in_its_depth() {
+        let xml = format!("{}{}", "<a>".repeat(127), "</a>".repeat(127));
+        let shape = AdornedShape::from_document(&Document::parse_str(&xml).unwrap());
+        assert_eq!(shape.types().len(), 127);
+        let bytes = shape.to_bytes();
+        assert!(bytes.len() <= 5_000, "{} B", bytes.len());
+        let back = AdornedShape::from_bytes(&bytes).unwrap();
+        assert_eq!(back.types().depth(TypeId(126)), 126);
     }
 
     #[test]
@@ -624,9 +714,10 @@ mod tests {
         (blob, rows)
     }
 
-    /// The persisted shape bytes are a format: these sums were taken
+    /// The persisted shape bytes are a format. The row sums were taken
     /// from the `Vec<String>`-path type table this one replaced, and
-    /// must not move while the format version stays.
+    /// existing stores hold rows in that format, so they must not move.
+    /// The blob sums were taken from the first writer of the row blob.
     #[test]
     fn persisted_bytes_known_answers() {
         use xmorph_datagen::{DblpConfig, NasaConfig, XmarkConfig};
@@ -654,15 +745,15 @@ mod tests {
             })
             .collect();
         let want: [(&str, usize, u64, u64); 4] = [
-            ("fig1a", 7, 0xe06f_2cdf_fceb_5f1f, 0xc51b_4000_67f9_ce45),
+            ("fig1a", 7, 0x537c_a2a1_83a6_b317, 0xc51b_4000_67f9_ce45),
             (
                 "xmark-0.05",
                 519,
-                0xdd11_6206_2d85_219a,
+                0xfc6d_a8c7_6460_c5df,
                 0x6d27_4e8e_c68c_087e,
             ),
-            ("dblp", 55, 0xe571_489f_c08c_2302, 0x3c65_4c8a_81ba_1e79),
-            ("nasa", 47, 0x24e3_0538_df2c_37bf, 0x4747_4c8f_4b59_14ec),
+            ("dblp", 55, 0x201f_9367_29b4_0caa, 0x3c65_4c8a_81ba_1e79),
+            ("nasa", 47, 0x153a_81db_4fab_2068, 0x4747_4c8f_4b59_14ec),
         ];
         assert_eq!(got, want, "{got:#x?}");
     }

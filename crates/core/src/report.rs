@@ -89,7 +89,7 @@ impl fmt::Display for LabelReport {
 
 /// One way a transformation potentially loses or manufactures
 /// information.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LossFinding {
     /// Theorem 1 violation: the minimum path cardinality between the two
     /// types rises from zero to non-zero — instances of `to` without a

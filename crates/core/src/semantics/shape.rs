@@ -196,26 +196,31 @@ impl Shape {
         false
     }
 
+    /// The steps up from `a` and from `b` to their least common
+    /// ancestor: the deeper node climbs to equal depth, then both climb
+    /// together. Nodes in different trees meet at the virtual forest
+    /// root, one step above each root.
+    fn steps_to_lca(&self, a: SId, b: SId) -> (usize, usize) {
+        let (da, db) = (self.depth(a), self.depth(b));
+        let up = |n: SId, k: usize| (0..k).fold(n, |n, _| self.nodes[n].parent.unwrap());
+        let (mut x, mut y) = (up(a, da.saturating_sub(db)), up(b, db.saturating_sub(da)));
+        let mut k = 0;
+        while x != y {
+            match (self.nodes[x].parent, self.nodes[y].parent) {
+                (Some(px), Some(py)) => (x, y, k) = (px, py, k + 1),
+                _ => return (da + 1, db + 1),
+            }
+        }
+        let m = da.min(db);
+        (da - m + k, db - m + k)
+    }
+
     /// Tree distance between two nodes. Nodes in different trees of the
     /// forest are related through the virtual forest root (the rendered
     /// document wrapper): distance = depth(a) + depth(b) + 2.
     pub fn tree_distance(&self, a: SId, b: SId) -> Option<usize> {
-        let mut anc = Vec::new();
-        let mut cur = Some(a);
-        while let Some(c) = cur {
-            anc.push(c);
-            cur = self.nodes[c].parent;
-        }
-        let mut db = 0usize;
-        let mut cur = Some(b);
-        while let Some(c) = cur {
-            if let Some(pos) = anc.iter().position(|&x| x == c) {
-                return Some(pos + db);
-            }
-            db += 1;
-            cur = self.nodes[c].parent;
-        }
-        Some(anc.len() + db) // via the virtual forest root
+        let (up_a, up_b) = self.steps_to_lca(a, b);
+        Some(up_a + up_b)
     }
 
     /// Path cardinality (Def. 6) between two nodes of this shape: `1..1`
@@ -224,24 +229,13 @@ impl Shape {
     /// the virtual forest root, so `b`'s own root-edge cardinality (the
     /// absolute instance count) joins the product.
     pub fn path_card(&self, a: SId, b: SId) -> Option<Card> {
-        let mut anc = vec![false; self.nodes.len()];
-        let mut cur = Some(a);
-        while let Some(c) = cur {
-            anc[c] = true;
-            cur = self.nodes[c].parent;
-        }
-        let mut card = Card::one();
-        let mut cur = b;
-        loop {
-            if anc[cur] {
-                return Some(card);
-            }
-            card = card.mul(self.nodes[cur].card);
-            match self.nodes[cur].parent {
-                Some(p) => cur = p,
-                None => return Some(card), // via the virtual forest root
-            }
-        }
+        let (_, up_b) = self.steps_to_lca(a, b);
+        let chain = std::iter::successors(Some(b), |&n| self.nodes[n].parent);
+        Some(
+            chain
+                .take(up_b)
+                .fold(Card::one(), |card, n| card.mul(self.nodes[n].card)),
+        )
     }
 
     /// Deep-copy the subtree rooted at `n` (children and filters) into
@@ -470,6 +464,45 @@ mod tests {
         let name = find(&s, "author.name");
         assert_eq!(s.path_card(data, name), Some(Card::exactly(2)));
         assert_eq!(s.path_card(name, data), Some(Card::one()));
+    }
+
+    /// `tree_distance` and `path_card` agree, on every ordered pair of
+    /// nodes, with a reference that lists each node's ancestors and
+    /// finds the first one the other node shares.
+    #[test]
+    fn distance_and_path_card_match_an_ancestor_list_reference() {
+        use crate::algebra::lower;
+        use crate::lang::parse;
+        use crate::semantics::eval::{eval_guard, EvalCtx, GuideOracle};
+        let xml = xmorph_datagen::XmarkConfig::with_factor(0.05).generate();
+        let adorned = AdornedShape::from_document(&Document::parse_str(&xml).unwrap());
+        let src = Shape::from_adorned(&adorned);
+        let oracle = GuideOracle(adorned.types());
+        let guard = "MORPH person [ name ] open_auction [ bidder ] category [ name ]";
+        let op = lower(&parse(guard).unwrap());
+        let tgt = eval_guard(&op, &src, &mut EvalCtx::new(&oracle)).unwrap();
+        assert!(tgt.roots.len() >= 3, "{} roots", tgt.roots.len());
+        for s in [&src, &tgt] {
+            // Each node's ancestors, itself first and its root last.
+            let up: Vec<Vec<SId>> = (0..s.nodes.len())
+                .map(|n| std::iter::successors(Some(n), |&c| s.nodes[c].parent).collect())
+                .collect();
+            for a in 0..s.nodes.len() {
+                for b in 0..s.nodes.len() {
+                    // Steps from `b` up to the first ancestor `a` shares,
+                    // and from `a` up to it; past the roots when none.
+                    let (to_b, to_a) = match up[b].iter().position(|x| up[a].contains(x)) {
+                        Some(j) => (j, up[a].iter().position(|&x| x == up[b][j]).unwrap()),
+                        None => (up[b].len(), up[a].len()),
+                    };
+                    let card = up[b][..to_b]
+                        .iter()
+                        .fold(Card::one(), |c, &n| c.mul(s.nodes[n].card));
+                    assert_eq!(s.tree_distance(a, b), Some(to_a + to_b), "{a} {b}");
+                    assert_eq!(s.path_card(a, b), Some(card), "{a} {b}");
+                }
+            }
+        }
     }
 
     #[test]

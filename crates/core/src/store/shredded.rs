@@ -9,8 +9,10 @@
 //!   with a `(type, prefix)` key prefix *is* the grouped sequence that
 //!   feeds a closest join, and carrying the text in the value lets the
 //!   renderer stream output from a single scan.
-//! * **`meta`** — the serialized adorned shape (`AdornedShapes` table)
-//!   and the column generation counter.
+//! * **`meta`** — the adorned shape as one row per type
+//!   (`AdornedShapes` table): a shred's base blob of every row and a
+//!   mutation's per-type override rows; and the column generation
+//!   counter.
 //!
 //! Fig. 8's `Nodes` table (Dewey → type, text) is folded into
 //! `typeseq` plus a walk of the shape ([`ShreddedDoc::node_type`]): no
@@ -39,7 +41,7 @@
 
 use crate::error::{MorphError, MorphResult, StoreOpExt};
 use crate::guard::{Guard, GuardAnalysis};
-use crate::model::shape::{AdornedShape, ShapeBuilder};
+use crate::model::shape::{AdornedShape, ShapeBuilder, SHAPE_BLOB_TAG};
 use crate::model::types::{TypeId, TypeTable};
 use crate::semantics::eval::DistOracle;
 use crate::semantics::shape::Shape;
@@ -768,8 +770,9 @@ impl std::fmt::Debug for ShreddedDoc {
     }
 }
 
-/// Meta key of the base adorned shape: the whole shape as a shred
-/// wrote it ([`AdornedShape::to_bytes`]).
+/// Meta key of the base adorned shape: every type's row as a shred
+/// wrote it ([`AdornedShape::to_bytes`]), the same rows the `shape.`
+/// overrides hold.
 const META_SHAPE_KEY: &[u8] = b"shape";
 /// Meta key of the column generation counter (u64 LE).
 const META_COLGEN_KEY: &[u8] = b"colgen";
@@ -821,13 +824,21 @@ fn load_tygens(meta: &Tree) -> MorphResult<HashMap<TypeId, u64>> {
         .collect())
 }
 
-/// The persisted adorned shape: the base blob with every per-type
-/// override row laid over it.
+/// The persisted adorned shape: the base blob's rows, then every
+/// per-type override row, each applied by
+/// [`AdornedShape::apply_type_row`]. A base blob of the earlier
+/// full-path format is refused by name: such a store must be shredded
+/// again.
 fn load_shape(meta: &Tree) -> MorphResult<AdornedShape> {
     let bytes = meta
         .get(META_SHAPE_KEY)
         .in_op("read adorned shape")?
         .ok_or(MorphError::Internal("store holds no shredded document"))?;
+    if bytes.get(..4).is_some_and(|tag| tag != SHAPE_BLOB_TAG) {
+        return Err(MorphError::Internal(
+            "adorned shape is in the old path format; re-shred the store",
+        ));
+    }
     let mut shape =
         AdornedShape::from_bytes(&bytes).ok_or(MorphError::Internal("corrupt adorned shape"))?;
     for (t, row) in type_rows(meta, META_SHAPE_ROW_PREFIX)? {
@@ -3266,6 +3277,51 @@ mod tests {
             doc.segment_fallbacks()
         );
         drop((doc, store));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `shape`'s blob in the earlier full-path format: the length of the
+    /// type table, the table (the type count, then each type's path as a
+    /// count of length-prefixed names), then each type's card and count.
+    fn path_format_blob(shape: &AdornedShape) -> Vec<u8> {
+        let types = shape.types();
+        let mut table = (types.len() as u32).to_le_bytes().to_vec();
+        for t in types.ids() {
+            let path = types.path(t);
+            table.extend_from_slice(&(path.len() as u32).to_le_bytes());
+            for name in path {
+                table.extend_from_slice(&(name.len() as u32).to_le_bytes());
+                table.extend_from_slice(name.as_bytes());
+            }
+        }
+        let mut out = (table.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&table);
+        for t in types.ids() {
+            out.extend_from_slice(&shape.card(t).to_bytes());
+            out.extend_from_slice(&shape.instance_count(t).to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn a_shape_blob_in_the_old_path_format_fails_open_by_name() {
+        let path = temp_path("path-format.db");
+        {
+            let store = Store::create(&path).unwrap();
+            let doc = ShreddedDoc::shred_str(&store, FIG1A).unwrap();
+            let meta = store.open_tree("meta").unwrap();
+            meta.insert(b"shape", &path_format_blob(doc.shape()))
+                .unwrap();
+            store.close().unwrap();
+        }
+        let store = Store::open(&path).unwrap();
+        let err = ShreddedDoc::open(&store).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("adorned shape is in the old path format; re-shred the store"),
+            "{err}"
+        );
+        drop(store);
         std::fs::remove_file(&path).ok();
     }
 

@@ -2,7 +2,9 @@
 //! one name arena, one child index. So cloning a shape (each structural
 //! write does, at its next snapshot publication) makes the same number
 //! of heap allocations whatever its type count, and a chain of types
-//! costs memory linear in its depth — no type holds its root path.
+//! costs memory linear in its depth — no type holds its root path. A
+//! persisted shape decodes into the same arrays, in allocations that do
+//! not grow per row and bytes that do not outgrow its blob.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -110,4 +112,46 @@ fn a_deep_chain_costs_memory_linear_in_its_depth() {
     let deepest = chain(8_000);
     let leaf = deepest.type_ids().last().unwrap();
     assert_eq!(deepest.types().depth(leaf), 7_999);
+}
+
+/// A blob decodes into the shape's flat arrays, which grow by doubling:
+/// a hundred times the rows costs a few more allocations, not one or
+/// more per row.
+#[test]
+fn a_blob_decodes_without_an_allocation_per_row() {
+    let small = wide_shape(50).to_bytes();
+    let big = wide_shape(5_000).to_bytes();
+    let (shape, (small_allocs, _)) = allocations(|| AdornedShape::from_bytes(&small).unwrap());
+    assert_eq!(shape.types().len(), 101);
+    let (shape, (big_allocs, _)) = allocations(|| AdornedShape::from_bytes(&big).unwrap());
+    assert_eq!(shape.types().len(), 10_001);
+    assert!(
+        big_allocs <= small_allocs + 50,
+        "{big_allocs} allocations for 10,001 rows, {small_allocs} for 101"
+    );
+}
+
+/// A count or row length is never trusted before its bytes are read,
+/// so a torn blob claiming 4 Gi rows, or a 4 GiB row, allocates in
+/// proportion to the bytes it holds.
+#[test]
+fn a_torn_length_allocates_nothing_past_its_bytes() {
+    let mut blob = wide_shape(500).to_bytes();
+    blob[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+    let (shape, (_, bytes)) = allocations(|| AdornedShape::from_bytes(&blob));
+    assert!(shape.is_none());
+    assert!(
+        bytes <= 16 * blob.len() as u64,
+        "{bytes} B from a {} B blob",
+        blob.len()
+    );
+    blob.extend_from_slice(&u32::MAX.to_le_bytes());
+    blob.extend_from_slice(&[0; 64]);
+    let (shape, (_, bytes)) = allocations(|| AdornedShape::from_bytes(&blob));
+    assert!(shape.is_none());
+    assert!(
+        bytes <= 16 * blob.len() as u64,
+        "{bytes} B from a {} B blob",
+        blob.len()
+    );
 }

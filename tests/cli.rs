@@ -141,6 +141,56 @@ fn shred_then_apply_from_store() {
     std::fs::remove_file(&store).ok();
 }
 
+/// The shape of `<a/>` in the earlier path format: the length of the
+/// type table, the table (one type, its path `["a"]`), then that type's
+/// card `1..1` and instance count 1.
+fn path_format_shape_blob() -> Vec<u8> {
+    let mut table: Vec<u8> = [1u32, 1, 1].iter().flat_map(|n| n.to_le_bytes()).collect();
+    table.push(b'a');
+    let mut out = (table.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&table);
+    out.extend_from_slice(&1u64.to_le_bytes());
+    out.push(0);
+    out.extend_from_slice(&1u64.to_le_bytes());
+    out.extend_from_slice(&1u64.to_le_bytes());
+    out
+}
+
+#[test]
+fn apply_on_a_store_in_the_old_shape_format_fails_with_a_message() {
+    let input = temp_file("old-shape.xml", "<a/>");
+    let store = temp_file("old-shape.db", "");
+    std::fs::remove_file(&store).ok();
+    let (_, stderr, ok) = run(&[
+        "shred",
+        "--input",
+        input.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    {
+        let s = xmorph_pagestore::Store::open(&store).unwrap();
+        let meta = s.open_tree("meta").unwrap();
+        meta.insert(b"shape", &path_format_shape_blob()).unwrap();
+        s.close().unwrap();
+    }
+    let (stdout, stderr, ok) = run(&[
+        "apply",
+        "--guard",
+        "MORPH a",
+        "--store",
+        store.to_str().unwrap(),
+    ]);
+    assert!(!ok, "{stdout}");
+    assert!(
+        stderr.contains("old path format; re-shred the store"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_file(&store).ok();
+}
+
 #[test]
 fn infer_produces_guard() {
     let (stdout, _, ok) = run(&[
